@@ -1,5 +1,5 @@
 // Ablation bench: the design choices behind CubeSketch and the
-// ingestion pipeline (DESIGN.md section 5).
+// ingestion pipeline (paper Sections 3.1 and 5).
 //   (a) column count vs failure rate vs speed/size — the delta knob;
 //   (b) Boruvka round budget vs query success;
 //   (c) batch size vs node-sketch update throughput — why buffering
@@ -10,8 +10,10 @@
 
 #include "bench/bench_common.h"
 #include "core/connectivity.h"
+#include "core/graph_snapshot.h"
 #include "sketch/cube_sketch.h"
 #include "sketch/node_sketch.h"
+#include "util/check.h"
 #include "util/kwise_hash.h"
 #include "util/random.h"
 #include "util/timer.h"
@@ -72,14 +74,15 @@ void AblateRounds() {
       p.num_nodes = n;
       p.seed = static_cast<uint64_t>(rounds) * 1000 + t;
       p.rounds = rounds;
-      std::vector<NodeSketch> sketches;
-      for (uint64_t i = 0; i < n; ++i) sketches.emplace_back(p);
+      GraphSnapshot snapshot = GraphSnapshot::Zero(p);
+      NodeSketch edge(p);
       for (const Edge& e : edges) {
-        const uint64_t idx = EdgeToIndex(e, n);
-        sketches[e.u].Update(idx);
-        sketches[e.v].Update(idx);
+        edge.Clear();
+        edge.Update(EdgeToIndex(e, n));
+        GZ_CHECK_OK(snapshot.MergeNodeDelta(e.u, edge));
+        GZ_CHECK_OK(snapshot.MergeNodeDelta(e.v, edge));
       }
-      const ConnectivityResult r = BoruvkaConnectivity(&sketches);
+      const ConnectivityResult r = BoruvkaConnectivity(snapshot);
       if (!r.failed && r.num_components == 1) ++successes;
     }
     if (rounds == 0) {

@@ -26,6 +26,6 @@ int main() {
   std::printf(
       "\nNote: kron streams are dense (~half of all possible edges);\n"
       "real-world rows are offline stand-ins shaped like the paper's\n"
-      "Table 10 datasets (see DESIGN.md section 2).\n");
+      "Table 10 datasets (synthetic, generated offline).\n");
   return 0;
 }

@@ -101,8 +101,9 @@ int main() {
     GZ_CHECK(thawed.ok() && thawed.value() == snapshot);
 
     // Untimed warmup: the first query after a capture pays first-touch
-    // page faults for its scratch copy; without this the second timed
-    // run would win on warm pages, not on algorithm.
+    // page faults and cache misses on the snapshot's records; without
+    // this the second timed run would win on warm pages, not on
+    // algorithm.
     GZ_CHECK(!Connectivity(snapshot, 1).failed);
 
     WallTimer seq_timer;

@@ -1,6 +1,7 @@
 #include "algos/spanning_forests.h"
 
 #include <string>
+#include <vector>
 
 #include "core/connectivity.h"
 #include "util/check.h"
@@ -27,20 +28,6 @@ int MaxForestsForRounds(uint64_t num_nodes, int rounds) {
 Result<ForestDecomposition> ExtractSpanningForests(
     const GraphSnapshot& snapshot, int k) {
   GZ_CHECK_MSG(snapshot.valid(), "decomposing an empty snapshot");
-  std::vector<NodeSketch> scratch = snapshot.CopySketches();
-  return ExtractSpanningForests(&scratch, k);
-}
-
-Result<ForestDecomposition> ExtractSpanningForests(GraphSnapshot&& snapshot,
-                                                   int k) {
-  GZ_CHECK_MSG(snapshot.valid(), "decomposing an empty snapshot");
-  std::vector<NodeSketch> scratch = snapshot.ReleaseSketches();
-  return ExtractSpanningForests(&scratch, k);
-}
-
-Result<ForestDecomposition> ExtractSpanningForests(
-    std::vector<NodeSketch>* snapshot, int k) {
-  GZ_CHECK(snapshot != nullptr && !snapshot->empty());
   // k arrives from CLIs and wire queries: validate, don't abort, and
   // never clamp (a clamped k would certify less than the caller asked
   // for while claiming otherwise).
@@ -48,9 +35,8 @@ Result<ForestDecomposition> ExtractSpanningForests(
     return Status::InvalidArgument("forest count k must be >= 1, got " +
                                    std::to_string(k));
   }
-  std::vector<NodeSketch>& pristine = *snapshot;
-  const uint64_t num_nodes = pristine[0].params().num_nodes;
-  const int total_rounds = pristine[0].rounds();
+  const uint64_t num_nodes = snapshot.num_nodes();
+  const int total_rounds = snapshot.rounds();
   if (k > MaxForestsForRounds(num_nodes, total_rounds)) {
     return Status::InvalidArgument(
         "snapshot has too few rounds for the requested k: k=" +
@@ -62,23 +48,35 @@ Result<ForestDecomposition> ExtractSpanningForests(
   const int rounds_per_phase = total_rounds / k;
 
   ForestDecomposition result;
+  // Sketch of the graph not yet peeled. It shares the snapshot's
+  // records until the first peel writes, which clones them once.
+  GraphSnapshot remaining = snapshot;
+  NodeSketch delta(snapshot.params());
+  std::vector<std::vector<uint64_t>> peel(num_nodes);
   for (int phase = 0; phase < k; ++phase) {
-    // Boruvka consumes the working copy; the pristine snapshot stays a
-    // faithful sketch of the remaining graph.
-    std::vector<NodeSketch> working = pristine;
     const ConnectivityResult cc = BoruvkaConnectivity(
-        &working, phase * rounds_per_phase, rounds_per_phase);
+        remaining, phase * rounds_per_phase, rounds_per_phase);
     if (cc.failed) {
       result.failed = true;
       break;
     }
     if (cc.spanning_forest.empty()) break;  // No edges left to peel.
     result.forests.push_back(cc.spanning_forest);
-    // Peel: toggle the forest's edges out of the remaining graph.
+    // Peel: toggle the forest's edges out of the remaining graph, one
+    // delta sketch per touched endpoint.
+    std::vector<NodeId> touched;
     for (const Edge& e : cc.spanning_forest) {
       const uint64_t idx = EdgeToIndex(e, num_nodes);
-      pristine[e.u].Update(idx);
-      pristine[e.v].Update(idx);
+      for (const NodeId node : {e.u, e.v}) {
+        if (peel[node].empty()) touched.push_back(node);
+        peel[node].push_back(idx);
+      }
+    }
+    for (const NodeId node : touched) {
+      delta.Clear();
+      delta.UpdateBatch(peel[node].data(), peel[node].size());
+      GZ_CHECK_OK(remaining.MergeNodeDelta(node, delta));
+      peel[node].clear();
     }
   }
   return result;

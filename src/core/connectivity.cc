@@ -3,13 +3,15 @@
 #include <algorithm>
 #include <atomic>
 #include <condition_variable>
+#include <cstring>
 #include <functional>
 #include <memory>
 #include <mutex>
 #include <thread>
-#include <utility>
+#include <vector>
 
 #include "dsu/dsu.h"
+#include "sketch/node_record.h"
 #include "stream/stream_file.h"
 #include "util/check.h"
 
@@ -20,8 +22,12 @@ namespace {
 // pool exists: late Boruvka rounds are tiny and cost less than the pool
 // barrier.
 constexpr uint64_t kMinParallelSampleRoots = 1024;
-constexpr size_t kMinParallelFoldPairs = 16;
+constexpr uint64_t kMinParallelFoldMembers = 512;
 constexpr uint64_t kSampleBlockNodes = 1024;
+// Members per fold unit: a merged component's round record is folded
+// from chunks of this many members, each into its own accumulator, so
+// one giant component still spreads over the pool.
+constexpr uint64_t kFoldUnitMembers = 64;
 
 // A minimal fixed-size pool for query-time parallelism. One pool lives
 // for the duration of a BoruvkaConnectivity call; each Run() is a
@@ -126,33 +132,24 @@ int ResolveQueryThreads(int num_threads) {
 
 ConnectivityResult Connectivity(const GraphSnapshot& snapshot,
                                 int num_threads) {
-  GZ_CHECK_MSG(snapshot.valid(), "querying an empty snapshot");
-  // The one place the destructive scratch copy is made.
-  std::vector<NodeSketch> scratch = snapshot.CopySketches();
-  return BoruvkaConnectivity(&scratch, /*first_round=*/0, /*num_rounds=*/-1,
+  return BoruvkaConnectivity(snapshot, /*first_round=*/0, /*num_rounds=*/-1,
                              ResolveQueryThreads(num_threads));
 }
 
-ConnectivityResult Connectivity(GraphSnapshot&& snapshot, int num_threads) {
-  GZ_CHECK_MSG(snapshot.valid(), "querying an empty snapshot");
-  std::vector<NodeSketch> scratch = snapshot.ReleaseSketches();
-  return BoruvkaConnectivity(&scratch, /*first_round=*/0, /*num_rounds=*/-1,
-                             ResolveQueryThreads(num_threads));
-}
-
-ConnectivityResult BoruvkaConnectivity(std::vector<NodeSketch>* sketches,
+ConnectivityResult BoruvkaConnectivity(const GraphSnapshot& snapshot,
                                        int first_round, int num_rounds,
                                        int num_threads) {
-  GZ_CHECK(sketches != nullptr && !sketches->empty());
-  std::vector<NodeSketch>& sk = *sketches;
-  const uint64_t num_nodes = sk[0].params().num_nodes;
-  GZ_CHECK_MSG(sk.size() == num_nodes,
-               "need one node sketch per vertex");
-  GZ_CHECK(first_round >= 0 && first_round < sk[0].rounds());
+  GZ_CHECK_MSG(snapshot.valid(), "querying an empty snapshot");
+  const NodeRecordLayout layout(snapshot.params());
+  const uint64_t num_nodes = snapshot.num_nodes();
+  GZ_CHECK(first_round >= 0 && first_round < layout.rounds());
   const int last_round = num_rounds < 0
-                             ? sk[0].rounds()
-                             : std::min(sk[0].rounds(),
+                             ? layout.rounds()
+                             : std::min(layout.rounds(),
                                         first_round + num_rounds);
+  const uint8_t* const records = snapshot.record(0);
+  const size_t record_bytes = layout.record_bytes();
+  const size_t round_bytes = layout.round_bytes();
 
   // Spawn the pool only when a parallel gate can actually fire: below
   // the sampling floor neither phase ever goes parallel, and thread
@@ -169,7 +166,19 @@ ConnectivityResult BoruvkaConnectivity(std::vector<NodeSketch>* sketches,
   // the parallel phases read it instead of calling Dsu::Find, whose
   // path compression is not safe under concurrency.
   std::vector<NodeId> root_of(num_nodes);
-  std::vector<int64_t> group_slot(num_nodes, -1);
+  // Members grouped by root, ascending (a counting sort by root_of):
+  // root r's members are members[member_pos[r] .. member_pos[r + 1]).
+  std::vector<NodeId> members(num_nodes);
+  std::vector<uint64_t> member_pos(num_nodes + 1);
+  // A merged root's first fold unit (-1 for singletons); its units are
+  // consecutive, one per kFoldUnitMembers members.
+  std::vector<int64_t> first_unit(num_nodes, -1);
+  struct FoldUnit {
+    uint64_t begin, end;  // Range of `members`.
+  };
+  std::vector<FoldUnit> units;
+  // One round record per fold unit: the private accumulators.
+  std::vector<uint8_t> accumulators;
   const size_t num_blocks =
       (num_nodes + kSampleBlockNodes - 1) / kSampleBlockNodes;
   std::vector<SampleBlock> blocks(num_blocks);
@@ -179,13 +188,60 @@ ConnectivityResult BoruvkaConnectivity(std::vector<NodeSketch>* sketches,
     result.rounds_used = round - first_round + 1;
     for (uint64_t i = 0; i < num_nodes; ++i) {
       root_of[i] = static_cast<NodeId>(dsu.Find(i));
+      first_unit[i] = -1;
     }
     const uint64_t live_roots = dsu.num_sets();
+    // Node `node`'s own round-`round` sketch, in the snapshot's arena.
+    auto node_round = [&](uint64_t node) {
+      return layout.Round(records + node * record_bytes, round);
+    };
 
-    // Phase 1: sample one candidate cut edge per live component, in
-    // parallel over contiguous node-id blocks. Per-block result slots
-    // keep the gathered candidate order equal to the sequential
-    // ascending-id order regardless of which thread ran which block.
+    // Phase 1: fold each merged component's round-`round` record from
+    // its members' records into accumulators, in parallel over units.
+    // XOR is order-free, so the bytes are identical for any split.
+    units.clear();
+    uint64_t folded_members = 0;
+    if (live_roots < num_nodes) {
+      std::fill(member_pos.begin(), member_pos.end(), 0);
+      for (uint64_t i = 0; i < num_nodes; ++i) ++member_pos[root_of[i]];
+      for (uint64_t r = 1; r < num_nodes; ++r) {
+        member_pos[r] += member_pos[r - 1];
+      }
+      member_pos[num_nodes] = num_nodes;
+      for (uint64_t i = num_nodes; i-- > 0;) {
+        members[--member_pos[root_of[i]]] = static_cast<NodeId>(i);
+      }
+      for (uint64_t r = 0; r < num_nodes; ++r) {
+        const uint64_t begin = member_pos[r], end = member_pos[r + 1];
+        if (end - begin < 2) continue;
+        first_unit[r] = static_cast<int64_t>(units.size());
+        for (uint64_t b = begin; b < end; b += kFoldUnitMembers) {
+          units.push_back({b, std::min(end, b + kFoldUnitMembers)});
+        }
+        folded_members += end - begin;
+      }
+    }
+    accumulators.resize(units.size() * round_bytes);
+    auto fold_unit = [&](size_t u) {
+      uint8_t* acc = accumulators.data() + u * round_bytes;
+      const FoldUnit& unit = units[u];
+      std::memcpy(acc, node_round(members[unit.begin]), round_bytes);
+      for (uint64_t m = unit.begin + 1; m < unit.end; ++m) {
+        XorBytes(acc, node_round(members[m]), round_bytes);
+      }
+    };
+    if (pool != nullptr && folded_members >= kMinParallelFoldMembers) {
+      pool->Run(units.size(), fold_unit);
+    } else {
+      for (size_t u = 0; u < units.size(); ++u) fold_unit(u);
+    }
+
+    // Phase 2: sample one candidate cut edge per live component, in
+    // parallel over contiguous node-id blocks — a singleton straight
+    // from its record, a merged component from its first accumulator
+    // once the others are XORed in. Per-block result slots keep the
+    // gathered candidate order equal to the sequential ascending-id
+    // order regardless of which thread ran which block.
     auto sample_block = [&](size_t b) {
       SampleBlock& out = blocks[b];
       out.candidates.clear();
@@ -194,7 +250,22 @@ ConnectivityResult BoruvkaConnectivity(std::vector<NodeSketch>* sketches,
       const uint64_t end = std::min(begin + kSampleBlockNodes, num_nodes);
       for (uint64_t i = begin; i < end; ++i) {
         if (root_of[i] != i) continue;  // Only component representatives.
-        const SketchSample sample = sk[i].Query(round);
+        const uint8_t* round_record;
+        if (first_unit[i] < 0) {
+          round_record = node_round(i);
+        } else {
+          const uint64_t size = member_pos[i + 1] - member_pos[i];
+          const size_t first = static_cast<size_t>(first_unit[i]);
+          const size_t count = (size + kFoldUnitMembers - 1) /
+                               kFoldUnitMembers;
+          uint8_t* acc = accumulators.data() + first * round_bytes;
+          for (size_t u = first + 1; u < first + count; ++u) {
+            XorBytes(acc, accumulators.data() + u * round_bytes,
+                     round_bytes);
+          }
+          round_record = acc;
+        }
+        const SketchSample sample = layout.QueryRound(round_record, round);
         switch (sample.kind) {
           case SampleKind::kGood:
             out.candidates.push_back(IndexToEdge(sample.index, num_nodes));
@@ -213,10 +284,9 @@ ConnectivityResult BoruvkaConnectivity(std::vector<NodeSketch>* sketches,
       for (size_t b = 0; b < num_blocks; ++b) sample_block(b);
     }
 
-    // Phase 2 (sequential): drive the DSU over the candidates in
-    // ascending-representative order, recording forest edges. No sketch
-    // is touched here, so the merge structure this induces is identical
-    // for every thread count.
+    // Phase 3 (sequential): drive the DSU over the candidates in
+    // ascending-representative order, recording forest edges. The merge
+    // structure this induces is identical for every thread count.
     bool any_fail = false;
     bool found_edge = false;
     for (const SampleBlock& block : blocks) {
@@ -230,70 +300,7 @@ ConnectivityResult BoruvkaConnectivity(std::vector<NodeSketch>* sketches,
         found_edge = true;
       }
     }
-    if (!found_edge && !any_fail) {
-      complete = true;  // All cuts empty.
-      break;
-    }
-    // After the window's final round nothing is queried again, so the
-    // fold below would be dead work.
-    if (round + 1 >= last_round) continue;
-
-    // Phase 3: XOR-fold each merged component's sketches into its new
-    // representative, as a pairwise tree reduction levelled ACROSS all
-    // groups: every level folds disjoint (dst, src) pairs — dst keeps
-    // the running sum, src is dead afterwards — halving each group's
-    // survivor list until only its root remains. Parallelism therefore
-    // spans components AND the inside of one giant component: a
-    // star-like graph whose single group used to fold sequentially now
-    // spreads n/2 merges per level over the pool, log2(n) levels deep,
-    // with the same n-1 total merges. Every pair's sketches are
-    // disjoint within a level, and the XOR sum is bitwise
-    // order-independent, so the folded state is identical for any
-    // thread count and any tree shape. Rounds at or before `round` are
-    // never queried again and are skipped.
-    struct FoldGroup {
-      // nodes[0] is the new representative; the rest fold into it.
-      std::vector<NodeId> nodes;
-    };
-    std::vector<FoldGroup> groups;
-    for (uint64_t i = 0; i < num_nodes; ++i) {
-      if (root_of[i] != i) continue;  // This round's roots only.
-      const NodeId new_root = static_cast<NodeId>(dsu.Find(i));
-      if (new_root == i) continue;    // Still its own representative.
-      if (group_slot[new_root] < 0) {
-        group_slot[new_root] = static_cast<int64_t>(groups.size());
-        groups.push_back({{new_root}});
-      }
-      groups[group_slot[new_root]].nodes.push_back(static_cast<NodeId>(i));
-    }
-    std::vector<std::pair<NodeId, NodeId>> fold_pairs;
-    auto fold_pair = [&](size_t p) {
-      sk[fold_pairs[p].first].MergeRounds(sk[fold_pairs[p].second],
-                                          round + 1);
-    };
-    for (;;) {
-      fold_pairs.clear();
-      for (FoldGroup& g : groups) {
-        for (size_t k = 0; 2 * k + 1 < g.nodes.size(); ++k) {
-          fold_pairs.push_back({g.nodes[2 * k], g.nodes[2 * k + 1]});
-        }
-      }
-      if (fold_pairs.empty()) break;
-      if (pool != nullptr && fold_pairs.size() >= kMinParallelFoldPairs) {
-        pool->Run(fold_pairs.size(), fold_pair);
-      } else {
-        for (size_t p = 0; p < fold_pairs.size(); ++p) fold_pair(p);
-      }
-      for (FoldGroup& g : groups) {
-        // Survivors are the even indices; nodes[0] (the root) stays 0.
-        size_t keep = 0;
-        for (size_t k = 0; k < g.nodes.size(); k += 2) {
-          g.nodes[keep++] = g.nodes[k];
-        }
-        g.nodes.resize(keep);
-      }
-    }
-    for (const FoldGroup& g : groups) group_slot[g.nodes[0]] = -1;
+    if (!found_edge && !any_fail) complete = true;  // All cuts empty.
   }
 
   result.failed = !complete;

@@ -1,16 +1,20 @@
 // Boruvka-over-sketches connectivity computation (paper Figure 9).
 //
 // Each round queries one fresh subsketch per current component for a cut
-// edge, merges the endpoints' components in a DSU, and XOR-sums the
-// merged components' sketches (linearity makes the sum a sketch of the
-// merged component's cut vector). Rounds use independent subsketches
-// because query answers feed back into later merges (adaptivity).
+// edge, merges the endpoints' components in a DSU, and samples the
+// merged components' XOR-summed sketches next round (linearity makes
+// the sum a sketch of the merged component's cut vector). Rounds use
+// independent subsketches because query answers feed back into later
+// merges (adaptivity).
 //
-// The engine parallelizes each round's two heavy phases across a small
-// thread pool — per-component cut sampling, and the XOR fold of merged
-// components' sketches — while keeping the round barrier and a
-// deterministic merge order, so the result is bitwise identical for any
-// thread count.
+// The engine never writes the snapshot and never copies it. A
+// singleton component is sampled straight from its node record in the
+// snapshot's arena; a merged component's round-r sketch is XOR-folded
+// from its members' round-r records into a private accumulator, so
+// query scratch is one round record per merged component, not a copy
+// of the sketch state. Each round's fold and sampling run on a small
+// thread pool with per-slot outputs and a sequential, ascending-id DSU
+// pass, so the result is bitwise identical for any thread count.
 #ifndef GZ_CORE_CONNECTIVITY_H_
 #define GZ_CORE_CONNECTIVITY_H_
 
@@ -19,7 +23,6 @@
 #include <vector>
 
 #include "core/graph_snapshot.h"
-#include "sketch/node_sketch.h"
 #include "stream/stream_types.h"
 #include "util/status.h"
 
@@ -47,9 +50,9 @@ struct ConnectivityResult {
 };
 
 // The snapshot-facing query: computes the connected components and a
-// spanning forest of the sketched graph. The destructive Boruvka
-// scratch copy is taken internally; the snapshot is untouched and can
-// be queried again, merged, or serialized afterwards.
+// spanning forest of the sketched graph. The snapshot is only read; it
+// can be queried again (on any thread), merged, or serialized
+// afterwards.
 //
 // `num_threads`: 0 picks a small pool automatically (bounded by the
 // hardware), 1 forces the sequential path, N uses N threads. Results
@@ -57,26 +60,16 @@ struct ConnectivityResult {
 ConnectivityResult Connectivity(const GraphSnapshot& snapshot,
                                 int num_threads = 0);
 
-// Rvalue form: consumes the snapshot's sketches as the Boruvka scratch
-// directly, so querying a temporary (e.g. Connectivity(gz.Snapshot()))
-// holds one copy of the sketch state, not two.
-ConnectivityResult Connectivity(GraphSnapshot&& snapshot,
-                                int num_threads = 0);
-
 // Resolution of num_threads = 0 ("auto"): min(hardware_concurrency, 8),
 // at least 1. Exposed so benchmarks can report the pool size.
 int ResolveQueryThreads(int num_threads);
 
-// Destructively computes a spanning forest from the given node sketches
-// (they are merged in place; pass copies/snapshots). `sketches[i]` must
-// be the node sketch of vertex i, all built with identical params.
-//
-// `first_round`/`num_rounds` restrict Boruvka to a window of sketch
-// rounds (default: all of them) so that multi-phase algorithms — e.g.
-// the spanning-forest decomposition in algos/ — can give each phase
-// fresh, adaptivity-safe rounds. num_rounds < 0 means "through the
-// last round". `num_threads` as in Connectivity().
-ConnectivityResult BoruvkaConnectivity(std::vector<NodeSketch>* sketches,
+// Connectivity() restricted to a window of sketch rounds:
+// `first_round`/`num_rounds` (num_rounds < 0 means "through the last
+// round") let multi-phase algorithms — e.g. the spanning-forest
+// decomposition in algos/ — give each phase fresh, adaptivity-safe
+// rounds. `num_threads` is taken as given: 0 or 1 runs sequentially.
+ConnectivityResult BoruvkaConnectivity(const GraphSnapshot& snapshot,
                                        int first_round = 0,
                                        int num_rounds = -1,
                                        int num_threads = 1);

@@ -2,7 +2,9 @@
 
 #include <cstdio>
 #include <cstring>
+#include <utility>
 
+#include "sketch/node_record.h"
 #include "util/check.h"
 
 namespace gz {
@@ -153,26 +155,67 @@ Status OpenSnapshotFile(const std::string& path, FILE** out,
 
 }  // namespace
 
-GraphSnapshot::GraphSnapshot(std::vector<NodeSketch> sketches,
-                             uint64_t num_updates)
-    : num_updates_(num_updates), sketches_(std::move(sketches)) {
-  GZ_CHECK_MSG(!sketches_.empty(), "snapshot needs at least one sketch");
-  GZ_CHECK_MSG(sketches_.size() == sketches_[0].params().num_nodes,
-               "need one node sketch per vertex");
-  for (const NodeSketch& s : sketches_) {
-    GZ_CHECK_MSG(s.params() == sketches_[0].params(),
-                 "snapshot sketches must share params");
+namespace {
+
+NodeSketchParams ResolvedParams(NodeSketchParams params) {
+  if (params.rounds <= 0) {
+    params.rounds = NodeSketch::DefaultRounds(params.num_nodes);
   }
+  return params;
+}
+
+}  // namespace
+
+GraphSnapshot::GraphSnapshot(const NodeSketchParams& params,
+                             SketchArena records, uint64_t num_updates)
+    : params_(ResolvedParams(params)),
+      records_(std::move(records)),
+      num_updates_(num_updates) {
+  GZ_CHECK_MSG(!records_.empty(), "snapshot needs node records");
+  GZ_CHECK_MSG(records_.num_records() == params_.num_nodes,
+               "need one node record per vertex");
+  GZ_CHECK_MSG(records_.record_bytes() ==
+                   NodeSketch::SerializedSizeFor(params_),
+               "node record size does not match the params");
+}
+
+GraphSnapshot GraphSnapshot::Zero(const NodeSketchParams& params) {
+  return GraphSnapshot(
+      params,
+      SketchArena::Zeroed(params.num_nodes,
+                          NodeSketch::SerializedSizeFor(params)),
+      0);
 }
 
 const NodeSketchParams& GraphSnapshot::params() const {
   GZ_CHECK_MSG(valid(), "empty snapshot");
-  return sketches_[0].params();
+  return params_;
 }
 
-const NodeSketch& GraphSnapshot::sketch(NodeId node) const {
-  GZ_CHECK_MSG(node < sketches_.size(), "node id out of range");
-  return sketches_[node];
+const uint8_t* GraphSnapshot::record(NodeId node) const {
+  GZ_CHECK_MSG(node < num_nodes(), "node id out of range");
+  return records_.record(node);
+}
+
+void GraphSnapshot::LoadSketch(NodeId node, NodeSketch* out) const {
+  GZ_CHECK_MSG(out->params() == params(), "sketch params mismatch");
+  out->DeserializeFrom(record(node));
+}
+
+uint8_t* GraphSnapshot::MutableRecords() {
+  records_.MakeUnique();
+  return records_.mutable_data();
+}
+
+bool operator==(const GraphSnapshot& a, const GraphSnapshot& b) {
+  if (a.num_updates_ != b.num_updates_ || a.valid() != b.valid()) {
+    return false;
+  }
+  if (!a.valid()) return true;
+  return a.params_ == b.params_ &&
+         (a.records_.SharesWith(b.records_) ||
+          std::memcmp(a.records_.data(), b.records_.data(),
+                      a.records_.size_bytes()) == 0);
 }
 
 Status GraphSnapshot::Merge(const GraphSnapshot& other) {
@@ -184,29 +227,30 @@ Status GraphSnapshot::Merge(const GraphSnapshot& other) {
         "snapshot params mismatch: merge requires identical seed, node "
         "bound and sketch geometry");
   }
-  for (uint64_t i = 0; i < sketches_.size(); ++i) {
-    sketches_[i].Merge(other.sketches_[i]);
-  }
+  // Held across the clone, so merging a snapshot with a copy of itself
+  // reads the pre-merge bytes.
+  const SketchArena source = other.records_;
+  XorBytes(MutableRecords(), source.data(), source.size_bytes());
   num_updates_ += other.num_updates_;
   return Status::Ok();
 }
 
 Status GraphSnapshot::MergeNodeDelta(NodeId node, const NodeSketch& delta) {
   if (!valid()) return Status::InvalidArgument("empty snapshot");
-  if (node >= sketches_.size()) {
+  if (node >= num_nodes()) {
     return Status::InvalidArgument("node id out of range");
   }
   if (!(delta.params() == params())) {
     return Status::InvalidArgument(
         "delta sketch params do not match this snapshot");
   }
-  sketches_[node].Merge(delta);
+  delta.XorInto(MutableRecords() + node * record_bytes());
   return Status::Ok();
 }
 
 size_t GraphSnapshot::SerializedSize() const {
   GZ_CHECK_MSG(valid(), "empty snapshot");
-  return kHeaderBytes + sketches_.size() * sketches_[0].SerializedSize();
+  return kHeaderBytes + records_.size_bytes();
 }
 
 size_t GraphSnapshot::SerializedSizeFor(const NodeSketchParams& params) {
@@ -217,12 +261,8 @@ size_t GraphSnapshot::SerializedSizeFor(const NodeSketchParams& params) {
 std::vector<uint8_t> GraphSnapshot::Serialize() const {
   std::vector<uint8_t> out(SerializedSize());
   WriteHeader(params(), num_updates_, out.data());
-  uint8_t* cursor = out.data() + kHeaderBytes;
-  const size_t record = sketches_[0].SerializedSize();
-  for (const NodeSketch& s : sketches_) {
-    s.SerializeTo(cursor);
-    cursor += record;
-  }
+  std::memcpy(out.data() + kHeaderBytes, records_.data(),
+              records_.size_bytes());
   return out;
 }
 
@@ -240,16 +280,11 @@ Result<GraphSnapshot> GraphSnapshot::Deserialize(const uint8_t* data,
     return Status::InvalidArgument(
         "GraphSnapshot buffer size does not match its header");
   }
-  const size_t record = NodeSketch::SerializedSizeFor(header.params);
-  std::vector<NodeSketch> sketches;
-  sketches.reserve(header.params.num_nodes);
-  const uint8_t* cursor = data + kHeaderBytes;
-  for (uint64_t i = 0; i < header.params.num_nodes; ++i) {
-    sketches.emplace_back(header.params);
-    sketches.back().DeserializeFrom(cursor);
-    cursor += record;
-  }
-  return GraphSnapshot(std::move(sketches), header.num_updates);
+  SketchArena records = SketchArena::Uninitialized(
+      header.params.num_nodes, NodeSketch::SerializedSizeFor(header.params));
+  std::memcpy(records.mutable_data(), data + kHeaderBytes,
+              records.size_bytes());
+  return GraphSnapshot(header.params, std::move(records), header.num_updates);
 }
 
 Status GraphSnapshot::MergeSerialized(const uint8_t* data, size_t size) {
@@ -271,14 +306,7 @@ Status GraphSnapshot::MergeSerialized(const uint8_t* data, size_t size) {
   }
   // Past this point nothing can fail, so the fold never leaves the
   // snapshot half-merged.
-  NodeSketch scratch(header.params);
-  const size_t record = NodeSketch::SerializedSizeFor(header.params);
-  const uint8_t* cursor = data + kHeaderBytes;
-  for (uint64_t i = 0; i < header.params.num_nodes; ++i) {
-    scratch.DeserializeFrom(cursor);
-    sketches_[i].Merge(scratch);
-    cursor += record;
-  }
+  XorBytes(MutableRecords(), data + kHeaderBytes, records_.size_bytes());
   num_updates_ += header.num_updates;
   return Status::Ok();
 }
@@ -379,16 +407,10 @@ Status GraphSnapshot::SaveRangeToSink(
 std::vector<uint8_t> GraphSnapshot::ExtractNodeRange(uint64_t lo,
                                                      uint64_t hi) const {
   GZ_CHECK_MSG(valid(), "empty snapshot");
-  std::vector<uint8_t> out;
-  out.reserve(SerializedRangeSizeFor(params(), lo, hi));
-  GZ_CHECK_OK(SaveRangeToSink(
-      [&out](const void* data, size_t size) {
-        const uint8_t* p = static_cast<const uint8_t*>(data);
-        out.insert(out.end(), p, p + size);
-        return Status::Ok();
-      },
-      params(), lo, hi,
-      [this](NodeId i) -> const NodeSketch& { return sketches_[i]; }));
+  std::vector<uint8_t> out(SerializedRangeSizeFor(params(), lo, hi));
+  WriteRangeHeader(params(), lo, hi, out.data());
+  std::memcpy(out.data() + kRangeHeaderBytes, records_.record(lo),
+              (hi - lo) * record_bytes());
   return out;
 }
 
@@ -396,34 +418,34 @@ Status GraphSnapshot::MergeSerializedNodeRange(const uint8_t* data,
                                                size_t size) {
   if (!valid()) return Status::InvalidArgument("empty snapshot");
   uint64_t lo = 0, hi = 0;
-  Status s = ParseSerializedNodeRange(data, size, params(), &lo, &hi);
+  size_t payload_offset = 0;
+  Status s = ParseSerializedNodeRange(data, size, params(), &lo, &hi,
+                                      &payload_offset);
   if (!s.ok()) return s;
   // Past this point nothing can fail, so the fold never leaves the
   // snapshot half-merged.
-  NodeSketch scratch(params());
-  const size_t record = NodeSketch::SerializedSizeFor(params());
-  const uint8_t* cursor = data + kRangeHeaderBytes;
-  for (uint64_t i = lo; i < hi; ++i) {
-    scratch.DeserializeFrom(cursor);
-    sketches_[i].Merge(scratch);
-    cursor += record;
-  }
+  XorBytes(MutableRecords() + lo * record_bytes(), data + payload_offset,
+           (hi - lo) * record_bytes());
   return Status::Ok();
-}
-
-std::vector<NodeSketch> GraphSnapshot::ReleaseSketches() {
-  std::vector<NodeSketch> out = std::move(sketches_);
-  sketches_.clear();
-  num_updates_ = 0;
-  return out;
 }
 
 Status GraphSnapshot::SaveToFile(const std::string& path) const {
   GZ_CHECK_MSG(valid(), "empty snapshot");
-  return SaveStream(path, params(), num_updates_,
-                    [this](NodeId i) -> const NodeSketch& {
-                      return sketches_[i];
-                    });
+  FILE* f = std::fopen(path.c_str(), "wb");
+  if (f == nullptr) {
+    return Status::IoError("cannot create snapshot file: " + path);
+  }
+  uint8_t header[kHeaderBytes];
+  WriteHeader(params(), num_updates_, header);
+  const bool ok =
+      std::fwrite(header, 1, kHeaderBytes, f) == kHeaderBytes &&
+      std::fwrite(records_.data(), 1, records_.size_bytes(), f) ==
+          records_.size_bytes();
+  // fclose flushes: a failure there is a short write too.
+  if (std::fclose(f) != 0 || !ok) {
+    return Status::IoError("short write to snapshot file: " + path);
+  }
+  return Status::Ok();
 }
 
 Status GraphSnapshot::SaveToSink(
@@ -470,20 +492,13 @@ Result<GraphSnapshot> GraphSnapshot::LoadFromFile(const std::string& path) {
   SnapshotHeader header;
   Status s = OpenSnapshotFile(path, &f, &header);
   if (!s.ok()) return s;
-  const size_t record = NodeSketch::SerializedSizeFor(header.params);
-  std::vector<NodeSketch> sketches;
-  sketches.reserve(header.params.num_nodes);
-  std::vector<uint8_t> buf(record);
-  for (uint64_t i = 0; i < header.params.num_nodes; ++i) {
-    if (std::fread(buf.data(), 1, buf.size(), f) != buf.size()) {
-      std::fclose(f);
-      return Status::IoError("truncated snapshot file: " + path);
-    }
-    sketches.emplace_back(header.params);
-    sketches.back().DeserializeFrom(buf.data());
-  }
+  SketchArena records = SketchArena::Uninitialized(
+      header.params.num_nodes, NodeSketch::SerializedSizeFor(header.params));
+  const bool ok = std::fread(records.mutable_data(), 1, records.size_bytes(),
+                             f) == records.size_bytes();
   std::fclose(f);
-  return GraphSnapshot(std::move(sketches), header.num_updates);
+  if (!ok) return Status::IoError("truncated snapshot file: " + path);
+  return GraphSnapshot(header.params, std::move(records), header.num_updates);
 }
 
 Status GraphSnapshot::LoadStream(

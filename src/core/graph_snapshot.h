@@ -12,10 +12,17 @@
 // network frame for a multi-process split. Checkpointing is snapshot
 // serialization to a file.
 //
+// Storage is one flat arena of serialized node records
+// (sketch/node_record.h), the same bytes Serialize() writes after its
+// header. Copies share the arena copy-on-write (core/sketch_arena.h):
+// copying a snapshot, or taking one from a RAM-store GraphZeppelin, is
+// O(1), and the bytes are cloned only when a holder writes while
+// another still reads them. Merges, range deltas, serialization and
+// equality are byte XOR, memcpy and memcmp over the arena.
+//
 // All query algorithms (connectivity, spanning-forest decomposition,
-// bipartiteness, MSF weight) consume `const GraphSnapshot&`; the
-// destructive Boruvka scratch copy happens once inside the query
-// engine, never at call sites.
+// bipartiteness, MSF weight) consume `const GraphSnapshot&` and read
+// the records in place; none of them copies the snapshot.
 #ifndef GZ_CORE_GRAPH_SNAPSHOT_H_
 #define GZ_CORE_GRAPH_SNAPSHOT_H_
 
@@ -25,6 +32,7 @@
 #include <string>
 #include <vector>
 
+#include "core/sketch_arena.h"
 #include "sketch/node_sketch.h"
 #include "stream/stream_types.h"
 #include "util/status.h"
@@ -37,35 +45,34 @@ class GraphSnapshot {
   // off-limits until one is move-assigned in.
   GraphSnapshot() = default;
 
-  // Takes ownership of `sketches` (one per vertex, all built with
-  // identical params). `num_updates` is the stream position the capture
-  // represents.
-  GraphSnapshot(std::vector<NodeSketch> sketches, uint64_t num_updates);
+  // Wraps `records`: one node record per vertex of `params`, captured
+  // at stream position `num_updates`. The arena is shared, not copied.
+  GraphSnapshot(const NodeSketchParams& params, SketchArena records,
+                uint64_t num_updates);
 
+  // The all-zero snapshot (the XOR identity) for `params`; its pages
+  // are zero-filled lazily, on first write.
+  static GraphSnapshot Zero(const NodeSketchParams& params);
+
+  // Copies share the records until one side writes.
   GraphSnapshot(GraphSnapshot&&) = default;
   GraphSnapshot& operator=(GraphSnapshot&&) = default;
   GraphSnapshot(const GraphSnapshot&) = default;
   GraphSnapshot& operator=(const GraphSnapshot&) = default;
 
-  bool valid() const { return !sketches_.empty(); }
+  bool valid() const { return !records_.empty(); }
   const NodeSketchParams& params() const;
-  uint64_t num_nodes() const { return sketches_.size(); }
+  uint64_t num_nodes() const { return valid() ? params_.num_nodes : 0; }
   uint64_t seed() const { return params().seed; }
   int rounds() const { return params().rounds; }
   uint64_t num_updates() const { return num_updates_; }
 
-  const NodeSketch& sketch(NodeId node) const;
-  const std::vector<NodeSketch>& sketches() const { return sketches_; }
-
-  // Mutable copy of the sketch vector — the scratch the destructive
-  // Boruvka engine consumes. Query entry points call this internally;
-  // external callers rarely need it.
-  std::vector<NodeSketch> CopySketches() const { return sketches_; }
-
-  // Moves the sketches out, leaving this snapshot empty (valid() ==
-  // false). Lets a query consume a temporary snapshot without a second
-  // full copy of the sketch state.
-  std::vector<NodeSketch> ReleaseSketches();
+  // Node `node`'s serialized record, record_bytes() long. Valid until
+  // this snapshot is next modified or destroyed.
+  const uint8_t* record(NodeId node) const;
+  size_t record_bytes() const { return records_.record_bytes(); }
+  // Deserializes node `node`'s sketch into *out (built with params()).
+  void LoadSketch(NodeId node, NodeSketch* out) const;
 
   // XOR-merges `other` into this snapshot (node-wise sketch sum, update
   // counts add). Fails with InvalidArgument unless both snapshots were
@@ -96,9 +103,9 @@ class GraphSnapshot {
   static Result<GraphSnapshot> Deserialize(const uint8_t* data, size_t size);
 
   // Streaming merge from serialized bytes: validates the header, checks
-  // params against this snapshot, then XOR-folds each node record in
-  // with one scratch sketch in flight — the coordinator's aggregation of
-  // a shard's snapshot reply without materializing a second snapshot.
+  // params against this snapshot, then XORs the records straight in —
+  // the coordinator's aggregation of a shard's snapshot reply without
+  // materializing a second snapshot.
   // InvalidArgument on malformed bytes or a params mismatch; this
   // snapshot is unchanged on any error.
   Status MergeSerialized(const uint8_t* data, size_t size);
@@ -120,8 +127,7 @@ class GraphSnapshot {
                                        uint64_t lo, uint64_t hi);
   // Serializes this snapshot's nodes [lo, hi) as a range delta.
   std::vector<uint8_t> ExtractNodeRange(uint64_t lo, uint64_t hi) const;
-  // XOR-folds a serialized range delta into this snapshot (one scratch
-  // sketch in flight). InvalidArgument on malformed bytes or a params
+  // XOR-folds a serialized range delta into this snapshot's records. InvalidArgument on malformed bytes or a params
   // mismatch; this snapshot is unchanged on any error. num_updates() is
   // never affected.
   Status MergeSerializedNodeRange(const uint8_t* data, size_t size);
@@ -177,13 +183,17 @@ class GraphSnapshot {
       const std::function<void(NodeId, const NodeSketch&)>& store,
       size_t offset = 0);
 
-  friend bool operator==(const GraphSnapshot& a, const GraphSnapshot& b) {
-    return a.num_updates_ == b.num_updates_ && a.sketches_ == b.sketches_;
-  }
+  // Same update count and byte-identical records.
+  friend bool operator==(const GraphSnapshot& a, const GraphSnapshot& b);
 
  private:
+  // The records, made writable: cloned first if another holder shares
+  // them.
+  uint8_t* MutableRecords();
+
+  NodeSketchParams params_;
+  SketchArena records_;
   uint64_t num_updates_ = 0;
-  std::vector<NodeSketch> sketches_;
 };
 
 }  // namespace gz

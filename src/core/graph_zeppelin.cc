@@ -129,6 +129,9 @@ Status GraphZeppelin::Init() {
 
 void GraphZeppelin::DrainIngestSpan() {
   if (ingest_span_.empty()) return;
+  // Workers may write once the gutters hold these updates: first clone
+  // the store's arena away from any snapshot still sharing it.
+  store_->Unshare();
   // Both endpoints' characteristic vectors toggle the same coordinate
   // (paper Figure 8): InsertBatch inserts each edge's index twice.
   gutters_->InsertBatch(ingest_span_.data(), ingest_span_.size());
@@ -154,6 +157,7 @@ void GraphZeppelin::Update(const GraphUpdate* updates, size_t count) {
   GZ_CHECK_MSG(initialized_, "Init() not called");
   if (hh_ != nullptr) hh_->Update(updates, count);
   DrainIngestSpan();  // Preserve stream order with singly fed updates.
+  store_->Unshare();
   gutters_->InsertBatch(updates, count);
   num_updates_ += count;
 }
@@ -168,15 +172,11 @@ void GraphZeppelin::Flush() {
 GraphSnapshot GraphZeppelin::Snapshot() {
   GZ_CHECK_MSG(initialized_, "Init() not called");
   // cleanup(): force updates out of buffers and wait for the workers,
-  // so the capture is a consistent stream position.
+  // so the capture is a consistent stream position. Nothing is
+  // buffered from here until the next mutation entry point, which
+  // calls Unshare() before any worker can write again.
   Flush();
-  std::vector<NodeSketch> sketches;
-  sketches.reserve(config_.num_nodes);
-  for (NodeId i = 0; i < config_.num_nodes; ++i) {
-    sketches.emplace_back(store_->params());
-    store_->Load(i, &sketches.back());
-  }
-  return GraphSnapshot(std::move(sketches), num_updates_);
+  return GraphSnapshot(store_->params(), store_->Capture(), num_updates_);
 }
 
 Status GraphZeppelin::WriteSnapshotTo(
@@ -236,6 +236,7 @@ Status GraphZeppelin::MergeSerializedNodeRange(const uint8_t* data,
       data, size, store_->params(), &lo, &hi, &payload_offset);
   if (!s.ok()) return s;
   Flush();
+  store_->Unshare();
   // The store's MergeDelta is the ingestion-path XOR; a migration delta
   // folds in exactly like a worker's batch delta.
   NodeSketch scratch(store_->params());
@@ -255,8 +256,11 @@ Status GraphZeppelin::LoadSnapshot(const GraphSnapshot& snapshot) {
     return Status::InvalidArgument(
         "snapshot sketch parameters do not match this instance");
   }
+  store_->Unshare();
+  NodeSketch scratch(store_->params());
   for (NodeId i = 0; i < config_.num_nodes; ++i) {
-    store_->Store(i, snapshot.sketch(i));
+    snapshot.LoadSketch(i, &scratch);
+    store_->Store(i, scratch);
   }
   num_updates_ = snapshot.num_updates();
   return Status::Ok();
@@ -287,6 +291,7 @@ Status GraphZeppelin::LoadCheckpoint(const std::string& path,
   // Streaming counterpart of LoadFromFile + LoadSnapshot: records go
   // straight into the store without materializing a snapshot.
   uint64_t saved_updates = 0;
+  store_->Unshare();
   Status s = GraphSnapshot::LoadStream(
       path, store_->params(), &saved_updates,
       [this](NodeId i, const NodeSketch& sketch) {

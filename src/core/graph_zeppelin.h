@@ -119,9 +119,12 @@ class GraphZeppelin {
   // may continue afterwards.
   ConnectivityResult ListSpanningForest();
 
-  // Flushes and captures the sketch state as an immutable GraphSnapshot
-  // (move-based: the sketches are loaded once and handed to the
-  // snapshot, never re-copied). The snapshot is the system's query
+  // Flushes and captures the sketch state as an immutable GraphSnapshot.
+  // With the RAM store the capture is O(1): the snapshot shares the
+  // store's record arena copy-on-write, and the next mutation (Update,
+  // MergeSerializedNodeRange, LoadSnapshot, LoadCheckpoint) clones it
+  // first only if the snapshot is still alive. The disk store reads its
+  // records into a fresh arena. The snapshot is the system's query
   // surface — every query algorithm, the sharded coordinator's
   // aggregation, and checkpointing consume it; linearity makes
   // snapshots from same-seed instances XOR-mergeable.

@@ -1,6 +1,8 @@
 #include "core/sketch_store.h"
 
+#include <algorithm>
 #include <cstring>
+#include <vector>
 
 #include <fcntl.h>
 #include <unistd.h>
@@ -8,44 +10,52 @@
 #include "util/check.h"
 
 namespace gz {
+namespace {
+
+// Read size of OnDiskSketchStore::Capture(), rounded down to whole
+// records.
+constexpr size_t kCaptureChunkBytes = size_t{4} << 20;
+
+}  // namespace
 
 // ---------------- InMemorySketchStore ---------------------------------
 
 InMemorySketchStore::InMemorySketchStore(const NodeSketchParams& params)
     : SketchStore(params) {
-  sketches_.reserve(params.num_nodes);
-  for (uint64_t i = 0; i < params.num_nodes; ++i) {
-    sketches_.emplace_back(params);
-  }
   // Normalize params_ (rounds may have been auto-filled).
-  params_ = sketches_.front().params();
-  locks_ = std::make_unique<std::mutex[]>(params.num_nodes);
+  NodeSketch prototype(params_);
+  params_ = prototype.params();
+  arena_ = SketchArena::Zeroed(params_.num_nodes, prototype.SerializedSize());
+  locks_ = std::make_unique<std::mutex[]>(params_.num_nodes);
 }
 
 void InMemorySketchStore::MergeDelta(NodeId node, const NodeSketch& delta) {
   GZ_CHECK(node < params_.num_nodes);
+  GZ_CHECK_MSG(delta.params() == params_,
+               "merging node sketches with different parameters");
+  GZ_CHECK_MSG(arena_.unique(), "writing a captured arena; Unshare() first");
   std::lock_guard<std::mutex> lock(locks_[node]);
-  sketches_[node].Merge(delta);
+  delta.XorInto(arena_.mutable_record(node));
 }
 
 void InMemorySketchStore::Load(NodeId node, NodeSketch* out) {
   GZ_CHECK(node < params_.num_nodes);
+  GZ_CHECK(out->params() == params_);
   std::lock_guard<std::mutex> lock(locks_[node]);
-  *out = sketches_[node];
+  out->DeserializeFrom(arena_.record(node));
 }
 
 void InMemorySketchStore::Store(NodeId node, const NodeSketch& sketch) {
   GZ_CHECK(node < params_.num_nodes);
   GZ_CHECK(sketch.params() == params_);
+  GZ_CHECK_MSG(arena_.unique(), "writing a captured arena; Unshare() first");
   std::lock_guard<std::mutex> lock(locks_[node]);
-  sketches_[node] = sketch;
+  sketch.SerializeTo(arena_.mutable_record(node));
 }
 
 size_t InMemorySketchStore::RamByteSize() const {
-  size_t total = sizeof(*this);
-  for (const NodeSketch& s : sketches_) total += s.ByteSize();
-  total += params_.num_nodes * sizeof(std::mutex);
-  return total;
+  return sizeof(*this) + arena_.size_bytes() +
+         params_.num_nodes * sizeof(std::mutex);
 }
 
 // ---------------- OnDiskSketchStore ------------------------------------
@@ -83,33 +93,18 @@ Status OnDiskSketchStore::Init() {
 void OnDiskSketchStore::MergeDelta(NodeId node, const NodeSketch& delta) {
   GZ_CHECK(node < params_.num_nodes);
   GZ_CHECK_MSG(fd_ >= 0, "Init() not called");
-  // Serialize the delta outside the lock; CubeSketch serialization is
-  // XOR-linear, so merging is a bytewise XOR of the two blobs.
-  std::vector<uint8_t> delta_buf(record_bytes_);
-  delta.SerializeTo(delta_buf.data());
-
+  GZ_CHECK(delta.SerializedSize() == record_bytes_);
   const off_t offset = static_cast<off_t>(record_bytes_) * node;
+  std::vector<uint8_t> buf(record_bytes_);
   std::lock_guard<std::mutex> lock(locks_[node]);
-  std::vector<uint8_t> disk_buf(record_bytes_);
-  ssize_t got = ::pread(fd_, disk_buf.data(), record_bytes_, offset);
+  ssize_t got = ::pread(fd_, buf.data(), record_bytes_, offset);
   GZ_CHECK_MSG(got == static_cast<ssize_t>(record_bytes_),
                "sketch store pread");
   bytes_read_ += record_bytes_;
-
-  // XOR word-wise (the blob is a multiple of 4 bytes by construction).
-  uint8_t* dst = disk_buf.data();
-  const uint8_t* src = delta_buf.data();
-  size_t i = 0;
-  for (; i + 8 <= record_bytes_; i += 8) {
-    uint64_t a, b;
-    std::memcpy(&a, dst + i, 8);
-    std::memcpy(&b, src + i, 8);
-    a ^= b;
-    std::memcpy(dst + i, &a, 8);
-  }
-  for (; i < record_bytes_; ++i) dst[i] ^= src[i];
-
-  ssize_t wrote = ::pwrite(fd_, disk_buf.data(), record_bytes_, offset);
+  // Serialization is XOR-linear: the delta folds straight into the
+  // record just read.
+  delta.XorInto(buf.data());
+  ssize_t wrote = ::pwrite(fd_, buf.data(), record_bytes_, offset);
   GZ_CHECK_MSG(wrote == static_cast<ssize_t>(record_bytes_),
                "sketch store pwrite");
   bytes_written_ += record_bytes_;
@@ -143,6 +138,28 @@ void OnDiskSketchStore::Store(NodeId node, const NodeSketch& sketch) {
   GZ_CHECK_MSG(wrote == static_cast<ssize_t>(record_bytes_),
                "sketch store pwrite");
   bytes_written_ += record_bytes_;
+}
+
+SketchArena OnDiskSketchStore::Capture() {
+  GZ_CHECK_MSG(fd_ >= 0, "Init() not called");
+  SketchArena arena =
+      SketchArena::Uninitialized(params_.num_nodes, record_bytes_);
+  // Multi-record preads: the file holds the records in node order, so
+  // the arena is one contiguous read, issued in bounded chunks.
+  const size_t total = arena.size_bytes();
+  const size_t chunk = std::max(record_bytes_, kCaptureChunkBytes -
+                                                   kCaptureChunkBytes %
+                                                       record_bytes_);
+  uint8_t* out = arena.mutable_data();
+  for (size_t done = 0; done < total;) {
+    const size_t want = std::min(chunk, total - done);
+    const ssize_t got =
+        ::pread(fd_, out + done, want, static_cast<off_t>(done));
+    GZ_CHECK_MSG(got > 0, "sketch store pread");
+    done += static_cast<size_t>(got);
+  }
+  bytes_read_ += total;
+  return arena;
 }
 
 size_t OnDiskSketchStore::RamByteSize() const {

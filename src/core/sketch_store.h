@@ -6,10 +6,16 @@
 // streaming model of Section 4, where batching (gutters) amortizes the
 // per-update I/O cost.
 //
+// Both keep each node's sketch as its serialized record
+// (sketch/node_record.h), so a merge is a byte XOR and a snapshot is a
+// flat copy — or, for the RAM store, no copy at all: Capture() shares
+// the store's arena copy-on-write (core/sketch_arena.h).
+//
 // Thread safety: MergeDelta/Load are safe to call concurrently from
 // many Graph Workers; stores lock per node. Following Section 5.1,
 // workers accumulate a batch into a private delta sketch and the store
-// only holds the lock for the XOR merge.
+// only holds the lock for the XOR merge. Capture() and Unshare() are
+// called by the one thread that feeds the workers, while they are idle.
 #ifndef GZ_CORE_SKETCH_STORE_H_
 #define GZ_CORE_SKETCH_STORE_H_
 
@@ -18,8 +24,8 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <vector>
 
+#include "core/sketch_arena.h"
 #include "sketch/node_sketch.h"
 #include "stream/stream_types.h"
 #include "util/status.h"
@@ -42,6 +48,16 @@ class SketchStore {
   // Used by checkpoint restore.
   virtual void Store(NodeId node, const NodeSketch& sketch) = 0;
 
+  // Every node's record in one arena: the snapshot capture. Writers
+  // must be idle (GraphZeppelin flushes first). The RAM store shares
+  // its own arena in O(1); the disk store reads a fresh one.
+  virtual SketchArena Capture() = 0;
+
+  // Ensures no captured arena shares the bytes the store writes next,
+  // cloning them if a capture is still alive. Called before anything
+  // can write — in particular before a worker is handed a batch.
+  virtual void Unshare() {}
+
   virtual size_t RamByteSize() const = 0;
   virtual size_t DiskByteSize() const = 0;
 
@@ -60,11 +76,13 @@ class InMemorySketchStore : public SketchStore {
   void MergeDelta(NodeId node, const NodeSketch& delta) override;
   void Load(NodeId node, NodeSketch* out) override;
   void Store(NodeId node, const NodeSketch& sketch) override;
+  SketchArena Capture() override { return arena_; }
+  void Unshare() override { arena_.MakeUnique(); }
   size_t RamByteSize() const override;
   size_t DiskByteSize() const override { return 0; }
 
  private:
-  std::vector<NodeSketch> sketches_;
+  SketchArena arena_;
   // One lock per node; 40 B each is negligible next to the sketches.
   std::unique_ptr<std::mutex[]> locks_;
 };
@@ -81,6 +99,7 @@ class OnDiskSketchStore : public SketchStore {
   void MergeDelta(NodeId node, const NodeSketch& delta) override;
   void Load(NodeId node, NodeSketch* out) override;
   void Store(NodeId node, const NodeSketch& sketch) override;
+  SketchArena Capture() override;
   size_t RamByteSize() const override;
   size_t DiskByteSize() const override;
 

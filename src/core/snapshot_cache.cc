@@ -4,17 +4,6 @@
 #include <utility>
 
 namespace gz {
-namespace {
-
-// A same-params all-zero snapshot: the XOR identity, and the starting
-// content of every shard the cache has not pulled from yet.
-GraphSnapshot ZeroSnapshot(const NodeSketchParams& params) {
-  return GraphSnapshot(
-      std::vector<NodeSketch>(params.num_nodes, NodeSketch(params)), 0);
-}
-
-}  // namespace
-
 std::vector<int> SnapshotCache::PlannedPulls(
     uint64_t epoch, const ShardWatermarks& marks) const {
   (void)epoch;  // Content is a function of per-shard marks alone; the
@@ -71,7 +60,7 @@ Status SnapshotCache::Refresh(uint64_t epoch, const ShardWatermarks& marks,
   }
   if (!valid() || !(merged_.params() == params)) {
     Invalidate();
-    merged_ = ZeroSnapshot(params);
+    merged_ = GraphSnapshot::Zero(params);
     ++cold_builds_;
   }
   ++refreshes_;
@@ -108,7 +97,7 @@ Status SnapshotCache::Refresh(uint64_t epoch, const ShardWatermarks& marks,
   // watermark is installed as the XOR identity without a pull.
   for (const auto& [shard, mark] : marks) {
     if (shard_content_.find(shard) == shard_content_.end()) {
-      shard_content_.emplace(shard, ZeroSnapshot(params));
+      shard_content_.emplace(shard, GraphSnapshot::Zero(params));
     }
     if (!NeedsPull(shard, mark)) continue;
     const Status s = PullShard(shard, params, puller);

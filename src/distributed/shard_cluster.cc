@@ -188,9 +188,11 @@ std::string ShardCluster::LogPath(int shard, int replica) const {
 GraphZeppelinConfig ShardCluster::ShardConfigFor(int shard,
                                                  int replica) const {
   GraphZeppelinConfig config = base_;
-  config.instance_tag =
-      "shard" + std::to_string(shard) +
-      (replica > 0 ? "r" + std::to_string(replica) : std::string());
+  config.instance_tag = "shard" + std::to_string(shard);
+  if (replica > 0) {
+    config.instance_tag += 'r';
+    config.instance_tag += std::to_string(replica);
+  }
   return config;
 }
 
@@ -406,8 +408,8 @@ Status ShardCluster::Flush() {
 Result<GraphSnapshot> ShardCluster::Snapshot() {
   if (!started_) return Status::FailedPrecondition("cluster not started");
   // Replies fold in arrival order: the first one materializes the
-  // snapshot, every later reply streams through MergeSerialized with
-  // one scratch sketch in flight. Peak memory is one snapshot + one
+  // snapshot, every later reply is XORed in by MergeSerialized
+  // straight from its bytes. Peak memory is one snapshot + one
   // reply buffer regardless of shard count. One live replica answers
   // per shard — all live replicas are bitwise-equal, so any one is the
   // shard. (On a barrier failure the helper still runs the fold for
@@ -1168,8 +1170,7 @@ Status ShardCluster::RepairReplica(int shard, int replica, int reference,
       params.rounds = base_.rounds > 0
                           ? base_.rounds
                           : NodeSketch::DefaultRounds(base_.num_nodes);
-      *scratch = GraphSnapshot(
-          std::vector<NodeSketch>(params.num_nodes, NodeSketch(params)), 0);
+      *scratch = GraphSnapshot::Zero(params);
     }
     st = scratch->MergeSerializedNodeRange(want.data(), want.size());
     if (!st.ok()) return st;

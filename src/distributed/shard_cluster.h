@@ -152,7 +152,7 @@ class ShardCluster {
   Status Flush();
   // Aggregated query surface: streams one live replica per shard's
   // serialized snapshot back and XOR-folds the replies (one
-  // deserialized snapshot plus one scratch sketch in flight). Exact
+  // deserialized snapshot plus one reply buffer in flight). Exact
   // even mid-migration: chunk moves are install+cancel pairs, so the
   // global XOR never double-counts. Survives dead replicas as long as
   // every shard keeps one live one.

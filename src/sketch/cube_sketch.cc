@@ -3,6 +3,7 @@
 #include <bit>
 #include <cstring>
 
+#include "sketch/node_record.h"
 #include "util/check.h"
 #include "util/xxhash.h"
 
@@ -19,6 +20,36 @@ int RowsForLength(uint64_t n) {
   // ceil(log2(n)) geometric levels plus the always-on row 0.
   const int levels = (n <= 1) ? 1 : std::bit_width(n - 1);
   return levels + 1;
+}
+
+// The sampling rule, shared by Query() and QueryRecord(). `bucket(b,
+// &alpha, &gamma)` reads column-major bucket b of the sketch.
+template <typename BucketAt>
+SketchSample SampleBuckets(uint64_t det_alpha, uint32_t det_gamma, int cols,
+                           int rows, uint64_t vector_len,
+                           const uint64_t* gamma_seeds, BucketAt bucket) {
+  // Deterministic bucket: zero detection and O(1) singleton recovery.
+  if (det_alpha == 0 && det_gamma == 0) return SketchSample::Zero();
+  if (det_alpha != 0 && det_alpha <= vector_len) {
+    const uint32_t expect =
+        static_cast<uint32_t>(XxHash64Word(det_alpha, gamma_seeds[cols]));
+    if (expect == det_gamma) return SketchSample::Good(det_alpha - 1);
+  }
+
+  // Scan each column from the deepest (sparsest) row upward: deep rows
+  // are the most likely to hold a single survivor.
+  for (int c = 0; c < cols; ++c) {
+    for (int r = rows - 1; r >= 0; --r) {
+      uint64_t alpha = 0;
+      uint32_t gamma = 0;
+      bucket(static_cast<size_t>(c) * rows + r, &alpha, &gamma);
+      if (alpha == 0 || alpha > vector_len) continue;
+      const uint32_t expect =
+          static_cast<uint32_t>(XxHash64Word(alpha, gamma_seeds[c]));
+      if (expect == gamma) return SketchSample::Good(alpha - 1);
+    }
+  }
+  return SketchSample::Fail();
 }
 
 }  // namespace
@@ -100,27 +131,32 @@ CubeSketchKernelArgs CubeSketch::KernelArgs(const uint64_t* indices,
 }
 
 SketchSample CubeSketch::Query() const {
-  // Deterministic bucket: zero detection and O(1) singleton recovery.
-  if (det_alpha_ == 0 && det_gamma_ == 0) return SketchSample::Zero();
-  if (det_alpha_ != 0 && det_alpha_ <= params_.vector_len) {
-    const uint32_t expect =
-        static_cast<uint32_t>(XxHash64Word(det_alpha_, gamma_seeds_.back()));
-    if (expect == det_gamma_) return SketchSample::Good(det_alpha_ - 1);
-  }
+  return SampleBuckets(det_alpha_, det_gamma_, params_.cols, rows_,
+                       params_.vector_len, gamma_seeds_.data(),
+                       [this](size_t b, uint64_t* alpha, uint32_t* gamma) {
+                         *alpha = alphas_[b];
+                         *gamma = gammas_[b];
+                       });
+}
 
-  // Scan each column from the deepest (sparsest) row upward: deep rows
-  // are the most likely to hold a single survivor.
-  for (int c = 0; c < params_.cols; ++c) {
-    for (int r = rows_ - 1; r >= 0; --r) {
-      const uint64_t alpha = alphas_[BucketIndex(c, r)];
-      const uint32_t gamma = gammas_[BucketIndex(c, r)];
-      if (alpha == 0 || alpha > params_.vector_len) continue;
-      const uint32_t expect =
-          static_cast<uint32_t>(XxHash64Word(alpha, gamma_seeds_[c]));
-      if (expect == gamma) return SketchSample::Good(alpha - 1);
-    }
-  }
-  return SketchSample::Fail();
+SketchSample CubeSketch::QueryRecord(const uint8_t* record, int cols,
+                                     int rows, uint64_t vector_len,
+                                     const uint64_t* gamma_seeds) {
+  // SerializeTo layout: alphas, gammas, det_alpha, det_gamma.
+  const size_t buckets = static_cast<size_t>(cols) * rows;
+  const uint8_t* alphas = record;
+  const uint8_t* gammas = alphas + buckets * sizeof(uint64_t);
+  const uint8_t* det = gammas + buckets * sizeof(uint32_t);
+  uint64_t det_alpha = 0;
+  uint32_t det_gamma = 0;
+  std::memcpy(&det_alpha, det, sizeof(det_alpha));
+  std::memcpy(&det_gamma, det + sizeof(det_alpha), sizeof(det_gamma));
+  return SampleBuckets(
+      det_alpha, det_gamma, cols, rows, vector_len, gamma_seeds,
+      [alphas, gammas](size_t b, uint64_t* alpha, uint32_t* gamma) {
+        std::memcpy(alpha, alphas + b * sizeof(uint64_t), sizeof(*alpha));
+        std::memcpy(gamma, gammas + b * sizeof(uint32_t), sizeof(*gamma));
+      });
 }
 
 void CubeSketch::Merge(const CubeSketch& other) {
@@ -159,6 +195,22 @@ void CubeSketch::SerializeTo(uint8_t* out) const {
   std::memcpy(out, &det_alpha_, sizeof(det_alpha_));
   out += sizeof(det_alpha_);
   std::memcpy(out, &det_gamma_, sizeof(det_gamma_));
+}
+
+void CubeSketch::XorInto(uint8_t* record) const {
+  const size_t alpha_bytes = alphas_.size() * sizeof(uint64_t);
+  const size_t gamma_bytes = gammas_.size() * sizeof(uint32_t);
+  XorBytes(record, reinterpret_cast<const uint8_t*>(alphas_.data()),
+           alpha_bytes);
+  record += alpha_bytes;
+  XorBytes(record, reinterpret_cast<const uint8_t*>(gammas_.data()),
+           gamma_bytes);
+  record += gamma_bytes;
+  XorBytes(record, reinterpret_cast<const uint8_t*>(&det_alpha_),
+           sizeof(det_alpha_));
+  record += sizeof(det_alpha_);
+  XorBytes(record, reinterpret_cast<const uint8_t*>(&det_gamma_),
+           sizeof(det_gamma_));
 }
 
 void CubeSketch::DeserializeFrom(const uint8_t* in) {

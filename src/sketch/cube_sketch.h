@@ -65,6 +65,13 @@ class CubeSketch {
   // Returns a nonzero coordinate, or kZero / kFail (see SketchSample).
   SketchSample Query() const;
 
+  // Query() on a serialized record (the SerializeTo layout, any
+  // alignment) without deserializing it. `gamma_seeds` are the
+  // record's sketch's gamma_seeds(). Same sampling rule, same answer.
+  static SketchSample QueryRecord(const uint8_t* record, int cols, int rows,
+                                  uint64_t vector_len,
+                                  const uint64_t* gamma_seeds);
+
   // Elementwise XOR with `other`, which must have identical params.
   // After the call, this sketch represents the mod-2 sum of both vectors.
   void Merge(const CubeSketch& other);
@@ -92,6 +99,13 @@ class CubeSketch {
   static size_t SerializedSizeFor(const CubeSketchParams& params);
   void SerializeTo(uint8_t* out) const;
   void DeserializeFrom(const uint8_t* in);
+  // XORs this sketch's serialized bytes into the record at `record`:
+  // by linearity, a merge of this sketch into the one `record` holds.
+  void XorInto(uint8_t* record) const;
+
+  // Checksum-hash seeds, one per column plus the deterministic
+  // bucket's last; what QueryRecord() needs besides the geometry.
+  const uint64_t* gamma_seeds() const { return gamma_seeds_.data(); }
 
   friend bool operator==(const CubeSketch& a, const CubeSketch& b) {
     return a.params_ == b.params_ && a.alphas_ == b.alphas_ &&
@@ -100,9 +114,6 @@ class CubeSketch {
   }
 
  private:
-  // Bucket index within the flattened column-major arrays.
-  int BucketIndex(int col, int row) const { return col * rows_ + row; }
-
   // Borrowing view of this sketch's geometry/buckets for the kernel.
   CubeSketchKernelArgs KernelArgs(const uint64_t* indices, size_t count);
 

@@ -104,6 +104,13 @@ void NodeSketch::SerializeTo(uint8_t* out) const {
   }
 }
 
+void NodeSketch::XorInto(uint8_t* record) const {
+  for (const CubeSketch& s : subsketches_) {
+    s.XorInto(record);
+    record += s.SerializedSize();
+  }
+}
+
 void NodeSketch::DeserializeFrom(const uint8_t* in) {
   for (CubeSketch& s : subsketches_) {
     s.DeserializeFrom(in);

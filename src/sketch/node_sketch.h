@@ -81,6 +81,9 @@ class NodeSketch {
   static size_t SerializedSizeFor(const NodeSketchParams& params);
   void SerializeTo(uint8_t* out) const;
   void DeserializeFrom(const uint8_t* in);
+  // XOR-merges this sketch into the serialized record at `record` —
+  // how a store or snapshot folds a delta in without deserializing.
+  void XorInto(uint8_t* record) const;
 
   friend bool operator==(const NodeSketch& a, const NodeSketch& b) {
     return a.params_ == b.params_ && a.subsketches_ == b.subsketches_;

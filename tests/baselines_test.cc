@@ -223,6 +223,23 @@ TEST(DiskAdjacencyGraphTest, AgreesWithMatrixCheckerOnRandomStream) {
   }
 }
 
+TEST(DiskAdjacencyGraphTest, IsolatedVertexWritesBackAndReloads) {
+  // Degree-0 regions: an edge inserted then deleted leaves both
+  // endpoints dirty with empty neighbor lists; evicting them writes an
+  // empty list back, and the components pass reloads it from disk.
+  DiskAdjacencyGraph g(DiskParams(8, "diskadj_isolated.bin", 2));
+  ASSERT_TRUE(g.Init().ok());
+  g.Update({Edge(0, 1), UpdateType::kInsert});
+  g.Update({Edge(0, 1), UpdateType::kDelete});
+  g.Update({Edge(2, 3), UpdateType::kInsert});  // Evicts 0 and 1.
+  EXPECT_GT(g.bytes_written(), 0u);
+  const ConnectivityResult r = g.ConnectedComponents();
+  EXPECT_EQ(r.num_components, 7u);
+  EXPECT_FALSE(r.Connected(0, 1));
+  EXPECT_TRUE(r.Connected(2, 3));
+  EXPECT_EQ(g.num_edges(), 1u);
+}
+
 TEST(DiskAdjacencyGraphTest, IllegalUpdatesAbort) {
   DiskAdjacencyGraph g(DiskParams(8, "diskadj_illegal.bin"));
   ASSERT_TRUE(g.Init().ok());

@@ -6,34 +6,40 @@
 #include <set>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "baseline/matrix_checker.h"
 #include "stream/stream_file.h"
 #include "core/connectivity.h"
+#include "core/graph_snapshot.h"
+#include "core/graph_zeppelin.h"
 #include "dsu/dsu.h"
 #include "stream/erdos_renyi_generator.h"
+#include "stream/kronecker_generator.h"
 #include "stream/stream_types.h"
 #include "util/random.h"
+#include "util/xxhash.h"
 
 namespace gz {
 namespace {
 
-// Builds per-node sketches directly from an edge list (no buffering).
-std::vector<NodeSketch> SketchGraph(uint64_t num_nodes, uint64_t seed,
-                                    const EdgeList& edges) {
+// Sketches a graph straight into a snapshot (no buffering): one delta
+// sketch per edge, folded into both endpoints' records.
+GraphSnapshot SketchGraph(uint64_t num_nodes, uint64_t seed,
+                          const EdgeList& edges) {
   NodeSketchParams p;
   p.num_nodes = num_nodes;
   p.seed = seed;
-  std::vector<NodeSketch> sketches;
-  sketches.reserve(num_nodes);
-  for (uint64_t i = 0; i < num_nodes; ++i) sketches.emplace_back(p);
+  GraphSnapshot snapshot = GraphSnapshot::Zero(p);
+  NodeSketch edge(p);
   for (const Edge& e : edges) {
-    const uint64_t idx = EdgeToIndex(e, num_nodes);
-    sketches[e.u].Update(idx);
-    sketches[e.v].Update(idx);
+    edge.Clear();
+    edge.Update(EdgeToIndex(e, num_nodes));
+    EXPECT_TRUE(snapshot.MergeNodeDelta(e.u, edge).ok());
+    EXPECT_TRUE(snapshot.MergeNodeDelta(e.v, edge).ok());
   }
-  return sketches;
+  return snapshot;
 }
 
 // Verifies a claimed spanning forest against the true edge set and the
@@ -65,16 +71,16 @@ void CheckForest(const ConnectivityResult& result, uint64_t num_nodes,
 }
 
 TEST(ConnectivityTest, EmptyGraphAllIsolated) {
-  auto sketches = SketchGraph(8, 1, {});
-  const ConnectivityResult r = BoruvkaConnectivity(&sketches);
+  const GraphSnapshot snapshot = SketchGraph(8, 1, {});
+  const ConnectivityResult r = BoruvkaConnectivity(snapshot);
   EXPECT_FALSE(r.failed);
   EXPECT_EQ(r.num_components, 8u);
   EXPECT_TRUE(r.spanning_forest.empty());
 }
 
 TEST(ConnectivityTest, SingleEdge) {
-  auto sketches = SketchGraph(4, 2, {Edge(1, 2)});
-  const ConnectivityResult r = BoruvkaConnectivity(&sketches);
+  const GraphSnapshot snapshot = SketchGraph(4, 2, {Edge(1, 2)});
+  const ConnectivityResult r = BoruvkaConnectivity(snapshot);
   EXPECT_FALSE(r.failed);
   EXPECT_EQ(r.num_components, 3u);
   ASSERT_EQ(r.spanning_forest.size(), 1u);
@@ -85,8 +91,8 @@ TEST(ConnectivityTest, PathGraph) {
   EdgeList edges;
   const uint64_t n = 32;
   for (NodeId i = 0; i + 1 < n; ++i) edges.emplace_back(i, i + 1);
-  auto sketches = SketchGraph(n, 3, edges);
-  const ConnectivityResult r = BoruvkaConnectivity(&sketches);
+  const GraphSnapshot snapshot = SketchGraph(n, 3, edges);
+  const ConnectivityResult r = BoruvkaConnectivity(snapshot);
   EXPECT_FALSE(r.failed);
   EXPECT_EQ(r.num_components, 1u);
   EXPECT_EQ(r.spanning_forest.size(), n - 1);
@@ -97,46 +103,43 @@ TEST(ConnectivityTest, StarGraph) {
   EdgeList edges;
   const uint64_t n = 64;
   for (NodeId i = 1; i < n; ++i) edges.emplace_back(0, i);
-  auto sketches = SketchGraph(n, 4, edges);
-  const ConnectivityResult r = BoruvkaConnectivity(&sketches);
+  const GraphSnapshot snapshot = SketchGraph(n, 4, edges);
+  const ConnectivityResult r = BoruvkaConnectivity(snapshot);
   EXPECT_FALSE(r.failed);
   EXPECT_EQ(r.num_components, 1u);
   CheckForest(r, n, edges);
 }
 
 TEST(ConnectivityTest, GiantStarFoldIsBitwiseIdenticalForAnyThreadCount) {
-  // A star is the worst case the tree-reduction fold exists for: after
-  // round one EVERYTHING merges into a single component, so the whole
-  // per-round XOR fold lands in one group. The pairwise reduction must
+  // A star is the worst case the chunked fold exists for: after round
+  // one EVERYTHING merges into a single component, so each later
+  // round's whole XOR fold lands in one group. The fold units must
   // spread that group over the pool AND stay bitwise-invisible: the
-  // result and the post-run scratch sketches (the folded bytes
-  // themselves) must be identical for every thread count.
+  // result must be identical for every thread count, and the snapshot
+  // (which the engine only reads) byte-identical afterwards.
   EdgeList edges;
   const uint64_t n = 4096;  // Above the pool-spawn floor.
   for (NodeId i = 1; i < n; ++i) edges.emplace_back(0, i);
 
-  auto baseline = SketchGraph(n, 6, edges);
+  const GraphSnapshot snapshot = SketchGraph(n, 6, edges);
+  const std::vector<uint8_t> before = snapshot.Serialize();
   const ConnectivityResult want =
-      BoruvkaConnectivity(&baseline, 0, -1, /*num_threads=*/1);
+      BoruvkaConnectivity(snapshot, 0, -1, /*num_threads=*/1);
   EXPECT_FALSE(want.failed);
   EXPECT_EQ(want.num_components, 1u);
   CheckForest(want, n, edges);
 
   for (const int threads : {2, 4, 8}) {
-    auto sketches = SketchGraph(n, 6, edges);
     const ConnectivityResult got =
-        BoruvkaConnectivity(&sketches, 0, -1, threads);
+        BoruvkaConnectivity(snapshot, 0, -1, threads);
     EXPECT_EQ(got.failed, want.failed) << threads << " threads";
     EXPECT_EQ(got.num_components, want.num_components);
     EXPECT_EQ(got.rounds_used, want.rounds_used);
     EXPECT_EQ(got.spanning_forest, want.spanning_forest)
         << threads << " threads";
     EXPECT_EQ(got.component_of, want.component_of);
-    for (uint64_t i = 0; i < n; ++i) {
-      ASSERT_TRUE(sketches[i] == baseline[i])
-          << "sketch " << i << " diverged at " << threads << " threads";
-    }
   }
+  EXPECT_TRUE(snapshot.Serialize() == before) << "the query wrote the snapshot";
 }
 
 TEST(ConnectivityTest, CompleteGraph) {
@@ -145,8 +148,8 @@ TEST(ConnectivityTest, CompleteGraph) {
   for (NodeId u = 0; u + 1 < n; ++u) {
     for (NodeId v = u + 1; v < n; ++v) edges.emplace_back(u, v);
   }
-  auto sketches = SketchGraph(n, 5, edges);
-  const ConnectivityResult r = BoruvkaConnectivity(&sketches);
+  const GraphSnapshot snapshot = SketchGraph(n, 5, edges);
+  const ConnectivityResult r = BoruvkaConnectivity(snapshot);
   EXPECT_FALSE(r.failed);
   EXPECT_EQ(r.num_components, 1u);
   CheckForest(r, n, edges);
@@ -161,8 +164,8 @@ TEST(ConnectivityTest, TwoCliquesStayApart) {
   for (NodeId u = 10; u < 20; ++u) {
     for (NodeId v = u + 1; v < 20; ++v) edges.emplace_back(u, v);
   }
-  auto sketches = SketchGraph(n, 6, edges);
-  const ConnectivityResult r = BoruvkaConnectivity(&sketches);
+  const GraphSnapshot snapshot = SketchGraph(n, 6, edges);
+  const ConnectivityResult r = BoruvkaConnectivity(snapshot);
   EXPECT_FALSE(r.failed);
   EXPECT_EQ(r.num_components, 2u);
   CheckForest(r, n, edges);
@@ -191,8 +194,8 @@ TEST_P(ConnectivityRandomTest, MatchesKruskalReference) {
   ep.seed = seed;
   const EdgeList edges = ErdosRenyiGenerator(ep).Generate();
 
-  auto sketches = SketchGraph(num_nodes, seed * 101 + 7, edges);
-  const ConnectivityResult r = BoruvkaConnectivity(&sketches);
+  const GraphSnapshot snapshot = SketchGraph(num_nodes, seed * 101 + 7, edges);
+  const ConnectivityResult r = BoruvkaConnectivity(snapshot);
   ASSERT_FALSE(r.failed);
   CheckForest(r, num_nodes, edges);
 
@@ -212,8 +215,8 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values<uint64_t>(1, 2, 3)));
 
 TEST(ConnectivityTest, ConnectedPointQuery) {
-  auto sketches = SketchGraph(8, 9, {Edge(0, 1), Edge(1, 2), Edge(4, 5)});
-  const ConnectivityResult r = BoruvkaConnectivity(&sketches);
+  const GraphSnapshot snapshot = SketchGraph(8, 9, {Edge(0, 1), Edge(1, 2), Edge(4, 5)});
+  const ConnectivityResult r = BoruvkaConnectivity(snapshot);
   ASSERT_FALSE(r.failed);
   EXPECT_TRUE(r.Connected(0, 2));
   EXPECT_TRUE(r.Connected(4, 5));
@@ -225,8 +228,8 @@ TEST(ConnectivityTest, ConnectedPointQuery) {
 TEST(ConnectivityTest, ConnectedOutOfRangeNodeIsFalse) {
   // Regression: out-of-range node ids used to index component_of
   // unchecked (UB); they must simply report "not connected".
-  auto sketches = SketchGraph(8, 9, {Edge(0, 1)});
-  const ConnectivityResult r = BoruvkaConnectivity(&sketches);
+  const GraphSnapshot snapshot = SketchGraph(8, 9, {Edge(0, 1)});
+  const ConnectivityResult r = BoruvkaConnectivity(snapshot);
   ASSERT_FALSE(r.failed);
   EXPECT_FALSE(r.Connected(0, 8));
   EXPECT_FALSE(r.Connected(8, 0));
@@ -245,8 +248,8 @@ TEST(ConnectivityTest, SpanningForestStreamOutput) {
   const uint64_t n = 16;
   EdgeList edges;
   for (NodeId i = 0; i + 1 < 10; ++i) edges.emplace_back(i, i + 1);
-  auto sketches = SketchGraph(n, 10, edges);
-  const ConnectivityResult r = BoruvkaConnectivity(&sketches);
+  const GraphSnapshot snapshot = SketchGraph(n, 10, edges);
+  const ConnectivityResult r = BoruvkaConnectivity(snapshot);
   ASSERT_FALSE(r.failed);
 
   const std::string path =
@@ -273,27 +276,102 @@ TEST(ConnectivityTest, RoundWindowRestrictsWork) {
   // must report failure.
   EdgeList edges;
   for (NodeId i = 0; i + 1 < 16; ++i) edges.emplace_back(i, i + 1);
-  auto sketches = SketchGraph(16, 11, edges);
+  const GraphSnapshot snapshot = SketchGraph(16, 11, edges);
   const ConnectivityResult r =
-      BoruvkaConnectivity(&sketches, /*first_round=*/0, /*num_rounds=*/1);
+      BoruvkaConnectivity(snapshot, /*first_round=*/0, /*num_rounds=*/1);
   EXPECT_TRUE(r.failed);
   EXPECT_EQ(r.rounds_used, 1);
 }
 
-TEST(ConnectivityTest, WrongSketchCountAborts) {
+TEST(ConnectivityTest, WrongRecordCountAborts) {
   NodeSketchParams p;
   p.num_nodes = 8;
   p.seed = 1;
-  std::vector<NodeSketch> sketches;
-  for (int i = 0; i < 4; ++i) sketches.emplace_back(p);  // Too few.
-  EXPECT_DEATH(BoruvkaConnectivity(&sketches), "one node sketch per vertex");
+  // Too few records for the node bound.
+  SketchArena records =
+      SketchArena::Zeroed(4, NodeSketch::SerializedSizeFor(p));
+  EXPECT_DEATH(GraphSnapshot(p, std::move(records), 0),
+               "one node record per vertex");
 }
 
 TEST(ConnectivityTest, BadRoundWindowAborts) {
-  auto sketches = SketchGraph(8, 12, {Edge(0, 1)});
-  const int rounds = sketches[0].rounds();
-  EXPECT_DEATH(BoruvkaConnectivity(&sketches, rounds, 1),
+  const GraphSnapshot snapshot = SketchGraph(8, 12, {Edge(0, 1)});
+  const int rounds = snapshot.rounds();
+  EXPECT_DEATH(BoruvkaConnectivity(snapshot, rounds, 1),
                "first_round");
+}
+
+// Digest of a full query answer: forest edges in order, every label,
+// rounds used, component count and the failure flag.
+uint64_t AnswerDigest(const ConnectivityResult& r) {
+  std::vector<uint32_t> words;
+  for (const Edge& e : r.spanning_forest) {
+    words.push_back(e.u);
+    words.push_back(e.v);
+  }
+  for (const NodeId label : r.component_of) words.push_back(label);
+  words.push_back(static_cast<uint32_t>(r.rounds_used));
+  words.push_back(static_cast<uint32_t>(r.num_components));
+  words.push_back(r.failed ? 1u : 0u);
+  return XxHash64(words.data(), words.size() * sizeof(uint32_t), 0);
+}
+
+struct PinnedAnswer {
+  size_t forest_edges;
+  size_t components;
+  int rounds;
+  uint64_t digest;
+};
+
+void ExpectPinnedAnswer(uint64_t num_nodes, uint64_t seed,
+                        const EdgeList& edges, const PinnedAnswer& pin) {
+  GraphZeppelinConfig config;
+  config.num_nodes = num_nodes;
+  config.seed = seed;
+  config.disk_dir = ::testing::TempDir();
+  GraphZeppelin gz(config);
+  ASSERT_TRUE(gz.Init().ok());
+  for (const Edge& e : edges) gz.Update({e, UpdateType::kInsert});
+  const GraphSnapshot snapshot = gz.Snapshot();
+  for (const int threads : {1, 4}) {
+    const ConnectivityResult r = Connectivity(snapshot, threads);
+    EXPECT_FALSE(r.failed) << threads << " threads";
+    EXPECT_EQ(r.spanning_forest.size(), pin.forest_edges);
+    EXPECT_EQ(r.num_components, pin.components);
+    EXPECT_EQ(r.rounds_used, pin.rounds);
+    EXPECT_EQ(AnswerDigest(r), pin.digest) << threads << " threads";
+  }
+}
+
+// The exact answers (forest edge order, DSU labels, rounds) of the
+// copying Boruvka engine this one replaced, recorded from it on these
+// graphs: sampling, DSU order and fold must stay bit-for-bit the same.
+TEST(ConnectivityTest, PinnedAnswersOfTheCopyingEngine) {
+  {
+    ErdosRenyiParams p;
+    p.num_nodes = 512;
+    p.p = 0.004;
+    p.seed = 5;
+    ExpectPinnedAnswer(512, 51, ErdosRenyiGenerator(p).Generate(),
+                       {436, 76, 5, 0x65d5458cdfcad65dULL});
+  }
+  {
+    KroneckerParams p;
+    p.scale = 10;
+    p.density = 0.05;
+    p.seed = 7;
+    KroneckerGenerator gen(p);
+    ExpectPinnedAnswer(gen.num_nodes(), 71, gen.Generate(),
+                       {975, 49, 4, 0x66617f3c2384efa3ULL});
+  }
+  {
+    ErdosRenyiParams p;
+    p.num_nodes = 2048;
+    p.p = 0.0015;
+    p.seed = 9;
+    ExpectPinnedAnswer(2048, 91, ErdosRenyiGenerator(p).Generate(),
+                       {1946, 102, 6, 0x56adccc1d0b4bc8bULL});
+  }
 }
 
 TEST(ConnectivityTest, ManySmallComponents) {
@@ -305,8 +383,8 @@ TEST(ConnectivityTest, ManySmallComponents) {
     edges.emplace_back(base + 1, base + 2);
     edges.emplace_back(base, base + 2);
   }
-  auto sketches = SketchGraph(n, 8, edges);
-  const ConnectivityResult r = BoruvkaConnectivity(&sketches);
+  const GraphSnapshot snapshot = SketchGraph(n, 8, edges);
+  const ConnectivityResult r = BoruvkaConnectivity(snapshot);
   EXPECT_FALSE(r.failed);
   EXPECT_EQ(r.num_components, n / 3);
   CheckForest(r, n, edges);

@@ -111,17 +111,19 @@ TEST(ExhaustiveTest, BoruvkaMatchesDsuOnAllFourNodeGraphs) {
     NodeSketchParams p;
     p.num_nodes = n;
     p.seed = 300 + mask;
-    std::vector<NodeSketch> sketches;
-    for (uint64_t i = 0; i < n; ++i) sketches.emplace_back(p);
+    GraphSnapshot snapshot = GraphSnapshot::Zero(p);
+    NodeSketch edge(p);
     Dsu truth(n);
     for (uint64_t idx = 0; idx < 6; ++idx) {
       if (!(mask & (1u << idx))) continue;
       const Edge e = IndexToEdge(idx, n);
-      sketches[e.u].Update(idx);
-      sketches[e.v].Update(idx);
+      edge.Clear();
+      edge.Update(idx);
+      ASSERT_TRUE(snapshot.MergeNodeDelta(e.u, edge).ok());
+      ASSERT_TRUE(snapshot.MergeNodeDelta(e.v, edge).ok());
       truth.Union(e.u, e.v);
     }
-    const ConnectivityResult r = BoruvkaConnectivity(&sketches);
+    const ConnectivityResult r = BoruvkaConnectivity(snapshot);
     ASSERT_FALSE(r.failed) << "mask " << mask;
     EXPECT_EQ(r.num_components, truth.num_sets()) << "mask " << mask;
     for (uint64_t i = 0; i < n; ++i) {

@@ -7,6 +7,8 @@
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "baseline/matrix_checker.h"
@@ -38,6 +40,21 @@ GraphSnapshot SnapshotOf(uint64_t n, uint64_t seed, const EdgeList& edges) {
   GZ_CHECK_OK(gz.Init());
   Ingest(&gz, edges);
   return gz.Snapshot();
+}
+
+// An independent deep copy: a byte round trip shares nothing with the
+// original, so it pins the original's bytes at this moment.
+GraphSnapshot DeepCopy(const GraphSnapshot& snapshot) {
+  const std::vector<uint8_t> bytes = snapshot.Serialize();
+  return GraphSnapshot::Deserialize(bytes.data(), bytes.size()).value();
+}
+
+EdgeList RandomEdges(uint64_t n, double p, uint64_t seed) {
+  ErdosRenyiParams ep;
+  ep.num_nodes = n;
+  ep.p = p;
+  ep.seed = seed;
+  return ErdosRenyiGenerator(ep).Generate();
 }
 
 void ExpectSamePartition(const ConnectivityResult& got,
@@ -164,7 +181,9 @@ TEST(GraphSnapshotTest, MergeRejectsIncompatibleParams) {
   p.seed = 99;
   EXPECT_EQ(base.MergeNodeDelta(0, NodeSketch(p)).code(),
             StatusCode::kInvalidArgument);
-  EXPECT_EQ(base.MergeNodeDelta(999, base.sketch(0)).code(),
+  NodeSketch node0(base.params());
+  base.LoadSketch(0, &node0);
+  EXPECT_EQ(base.MergeNodeDelta(999, node0).code(),
             StatusCode::kInvalidArgument);
 }
 
@@ -389,6 +408,128 @@ TEST(GraphSnapshotTest, MidStreamSnapshotThenContinue) {
   const ConnectivityResult r_late = Connectivity(late);
   EXPECT_FALSE(r_early.Connected(0, 2));
   EXPECT_TRUE(r_late.Connected(0, 2));
+}
+
+TEST(GraphSnapshotTest, SnapshotKeepsItsBytesAcrossOwnerWrites) {
+  // Copy-on-write isolation: whatever the owner does after a capture —
+  // ingest, fold a migration delta, load another snapshot — a live
+  // snapshot's bytes never change. The RAM store shares its arena with
+  // the snapshot, so this is the clone-before-write check; the disk
+  // store captures into a fresh arena.
+  const uint64_t n = 64;
+  const EdgeList first = RandomEdges(n, 0.05, 31);
+  const EdgeList second = RandomEdges(n, 0.05, 32);
+  for (const auto storage : {GraphZeppelinConfig::Storage::kRam,
+                             GraphZeppelinConfig::Storage::kDisk}) {
+    const bool ram = storage == GraphZeppelinConfig::Storage::kRam;
+    SCOPED_TRACE(ram ? "ram store" : "disk store");
+    GraphZeppelinConfig config = MakeConfig(n, 33);
+    config.storage = storage;
+    GraphZeppelin gz(config);
+    ASSERT_TRUE(gz.Init().ok());
+    Ingest(&gz, first);
+    const GraphSnapshot snapshot = gz.Snapshot();
+    const GraphSnapshot frozen = DeepCopy(snapshot);
+    if (ram) {
+      // The RAM capture is O(1): with no write in between, a second
+      // capture shares the very same bytes.
+      EXPECT_EQ(gz.Snapshot().record(0), snapshot.record(0));
+    }
+
+    // Update(): the owner resumes ingesting.
+    Ingest(&gz, second);
+    gz.Flush();
+    EXPECT_TRUE(snapshot == frozen);
+    const GraphSnapshot ingested = gz.Snapshot();
+    GraphSnapshot probe = ingested;
+    probe.SetUpdates(snapshot.num_updates());
+    EXPECT_FALSE(probe == snapshot) << "the owner's writes went nowhere";
+
+    // MergeSerializedNodeRange(): cancel half the nodes in the owner.
+    const GraphSnapshot ingested_frozen = DeepCopy(ingested);
+    const std::vector<uint8_t> delta = ingested.ExtractNodeRange(0, n / 2);
+    ASSERT_TRUE(gz.MergeSerializedNodeRange(delta.data(), delta.size()).ok());
+    EXPECT_TRUE(ingested == ingested_frozen);
+    EXPECT_TRUE(snapshot == frozen);
+
+    // LoadSnapshot(): overwrite the owner with the first capture.
+    const GraphSnapshot cancelled = gz.Snapshot();
+    const GraphSnapshot cancelled_frozen = DeepCopy(cancelled);
+    ASSERT_TRUE(gz.LoadSnapshot(snapshot).ok());
+    EXPECT_TRUE(cancelled == cancelled_frozen);
+    EXPECT_TRUE(gz.Snapshot() == frozen);
+    EXPECT_TRUE(snapshot == frozen);
+  }
+}
+
+TEST(GraphSnapshotTest, MergedCopyLeavesOriginalUnchanged) {
+  const uint64_t n = 40;
+  const GraphSnapshot a = SnapshotOf(n, 37, RandomEdges(n, 0.1, 1));
+  const GraphSnapshot b = SnapshotOf(n, 37, RandomEdges(n, 0.1, 2));
+  const GraphSnapshot frozen = DeepCopy(a);
+
+  GraphSnapshot merged = a;
+  EXPECT_EQ(merged.record(0), a.record(0)) << "a copy shares the bytes";
+  ASSERT_TRUE(merged.Merge(b).ok());
+  EXPECT_NE(merged.record(0), a.record(0)) << "the write cloned them";
+  EXPECT_TRUE(a == frozen);
+
+  // Node deltas and range deltas clone the same way.
+  GraphSnapshot node_merged = a;
+  NodeSketch sketch(a.params());
+  b.LoadSketch(3, &sketch);
+  ASSERT_TRUE(node_merged.MergeNodeDelta(3, sketch).ok());
+  EXPECT_TRUE(a == frozen);
+  GraphSnapshot range_merged = a;
+  const std::vector<uint8_t> delta = b.ExtractNodeRange(0, n);
+  ASSERT_TRUE(
+      range_merged.MergeSerializedNodeRange(delta.data(), delta.size()).ok());
+  EXPECT_TRUE(a == frozen);
+  range_merged.AddUpdates(b.num_updates());
+  EXPECT_TRUE(range_merged == merged);
+
+  // A snapshot merged with itself cancels to zero: the source is the
+  // pre-merge bytes even though both sides are one object.
+  GraphSnapshot self = DeepCopy(a);
+  ASSERT_TRUE(self.Merge(self).ok());
+  GraphSnapshot zero = GraphSnapshot::Zero(a.params());
+  zero.SetUpdates(2 * a.num_updates());
+  EXPECT_TRUE(self == zero);
+  EXPECT_TRUE(a == frozen);
+}
+
+TEST(GraphSnapshotTest, SnapshotQueriedOnAnotherThreadWhileOwnerIngests) {
+  // The snapshot moves to a reader thread, which queries it (on its own
+  // pool) and then drops it, while the owner resumes Update(). The
+  // owner's first write clones the shared arena if the reader still
+  // holds it, or — if the reader already let go — writes in place after
+  // an acquire load that orders the reader's reads first. Either way
+  // the reader sees the capture and the owner ends at first + second.
+  const uint64_t n = 1500;  // Above the query pool's spawn floor.
+  const EdgeList first = RandomEdges(n, 0.002, 41);
+  const EdgeList second = RandomEdges(n, 0.002, 42);
+  GraphZeppelin gz(MakeConfig(n, 43));
+  ASSERT_TRUE(gz.Init().ok());
+  Ingest(&gz, first);
+  GraphSnapshot snapshot = gz.Snapshot();
+  const ConnectivityResult want = Connectivity(DeepCopy(snapshot), 1);
+
+  std::vector<ConnectivityResult> got(3);
+  std::thread reader([snapshot = std::move(snapshot), &got]() mutable {
+    for (ConnectivityResult& r : got) r = Connectivity(snapshot, 2);
+    snapshot = GraphSnapshot();  // Last reader reference, dropped here.
+  });
+  Ingest(&gz, second);
+  gz.Flush();
+  reader.join();
+
+  for (const ConnectivityResult& r : got) {
+    EXPECT_EQ(r.spanning_forest, want.spanning_forest);
+    EXPECT_EQ(r.component_of, want.component_of);
+  }
+  EdgeList all = first;
+  all.insert(all.end(), second.begin(), second.end());
+  EXPECT_TRUE(gz.Snapshot() == SnapshotOf(n, 43, all));
 }
 
 }  // namespace

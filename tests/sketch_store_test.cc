@@ -1,6 +1,8 @@
 // Tests for the in-memory and on-disk sketch stores.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
@@ -154,6 +156,49 @@ TEST_P(SketchStoreTest, StoreOverwrites) {
   NodeSketch got(real);
   store->Load(2, &got);
   EXPECT_EQ(got, SketchOf(real, {4}));
+}
+
+TEST_P(SketchStoreTest, CaptureHoldsEveryRecordAndOutlivesWrites) {
+  // Enough nodes that the disk store's capture spans several chunked
+  // preads; every record must match Load(), and the capture must keep
+  // its bytes once the store is written again (the RAM store's capture
+  // shares its arena until Unshare() clones it).
+  NodeSketchParams params = MakeParams(600, 11);
+  params.rounds = 0;  // Full-size records: ~25 KB each, ~15 MB in all.
+  auto store = MakeStore(params, "store_capture.bin");
+  const NodeSketchParams real = store->params();
+  SplitMix64 rng(11);
+  const uint64_t max_index = NumPossibleEdges(real.num_nodes);
+  for (NodeId node = 0; node < real.num_nodes; node += 7) {
+    store->MergeDelta(node, SketchOf(real, {rng.NextBelow(max_index)}));
+  }
+  const SketchArena capture = store->Capture();
+  ASSERT_EQ(capture.num_records(), real.num_nodes);
+  NodeSketch loaded(real);
+  std::vector<uint8_t> record(capture.record_bytes());
+  for (NodeId node = 0; node < real.num_nodes; ++node) {
+    store->Load(node, &loaded);
+    loaded.SerializeTo(record.data());
+    ASSERT_EQ(0, std::memcmp(record.data(), capture.record(node),
+                             record.size()))
+        << "node " << node;
+  }
+
+  const std::vector<uint8_t> before(capture.data(),
+                                    capture.data() + capture.size_bytes());
+  store->Unshare();
+  store->MergeDelta(0, SketchOf(real, {1, 2, 3}));
+  EXPECT_TRUE(std::equal(before.begin(), before.end(), capture.data()));
+  store->Load(0, &loaded);
+  loaded.SerializeTo(record.data());
+  EXPECT_NE(0, std::memcmp(record.data(), capture.record(0), record.size()));
+}
+
+TEST(InMemorySketchStoreTest, WritingASharedArenaAborts) {
+  InMemorySketchStore store(MakeParams(4, 12));
+  const SketchArena capture = store.Capture();
+  EXPECT_DEATH(store.MergeDelta(1, SketchOf(store.params(), {2})),
+               "Unshare");
 }
 
 TEST(OnDiskSketchStoreTest, DiskByteSizeMatchesRecords) {
