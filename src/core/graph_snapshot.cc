@@ -248,6 +248,17 @@ Status GraphSnapshot::MergeNodeDelta(NodeId node, const NodeSketch& delta) {
   return Status::Ok();
 }
 
+Status GraphSnapshot::MergeNodeRecords(uint64_t lo, uint64_t hi,
+                                       const uint8_t* records) {
+  if (!valid()) return Status::InvalidArgument("empty snapshot");
+  if (!(lo <= hi && hi <= num_nodes())) {
+    return Status::InvalidArgument("node range out of bounds");
+  }
+  XorBytes(MutableRecords() + lo * record_bytes(), records,
+           (hi - lo) * record_bytes());
+  return Status::Ok();
+}
+
 size_t GraphSnapshot::SerializedSize() const {
   GZ_CHECK_MSG(valid(), "empty snapshot");
   return kHeaderBytes + records_.size_bytes();
@@ -389,18 +400,21 @@ Status GraphSnapshot::ParseSerializedNodeRange(
 Status GraphSnapshot::SaveRangeToSink(
     const std::function<Status(const void* data, size_t size)>& sink,
     const NodeSketchParams& params, uint64_t lo, uint64_t hi,
-    const std::function<const NodeSketch&(NodeId)>& load) {
+    const RecordReader& read) {
   GZ_CHECK_MSG(lo < hi && hi <= params.num_nodes, "bad node range");
   uint8_t header[kRangeHeaderBytes];
   WriteRangeHeader(params, lo, hi, header);
   Status s = sink(header, kRangeHeaderBytes);
-  std::vector<uint8_t> buf(NodeSketch::SerializedSizeFor(params));
-  for (uint64_t i = lo; s.ok() && i < hi; ++i) {
-    const NodeSketch& sketch = load(static_cast<NodeId>(i));
-    GZ_CHECK_MSG(sketch.params() == params, "loader returned wrong params");
-    sketch.SerializeTo(buf.data());
-    s = sink(buf.data(), buf.size());
-  }
+  if (!s.ok()) return s;
+  size_t written = 0;
+  s = read(lo, hi, [&sink, &written](const uint8_t* records, size_t bytes) {
+    written += bytes;
+    return sink(records, bytes);
+  });
+  // The frame length was promised from the params alone.
+  GZ_CHECK_MSG(!s.ok() || written == (hi - lo) *
+                                         NodeSketch::SerializedSizeFor(params),
+               "record reader returned the wrong byte count");
   return s;
 }
 
@@ -424,8 +438,34 @@ Status GraphSnapshot::MergeSerializedNodeRange(const uint8_t* data,
   if (!s.ok()) return s;
   // Past this point nothing can fail, so the fold never leaves the
   // snapshot half-merged.
-  XorBytes(MutableRecords() + lo * record_bytes(), data + payload_offset,
-           (hi - lo) * record_bytes());
+  return MergeNodeRecords(lo, hi, data + payload_offset);
+}
+
+Status GraphSnapshot::ReplaceTermRange(GraphSnapshot* term, uint64_t lo,
+                                       uint64_t hi, const uint8_t* data,
+                                       size_t size) {
+  if (!valid() || term == nullptr || term == this || !term->valid()) {
+    return Status::InvalidArgument(
+        "a term swap needs two distinct, non-empty snapshots");
+  }
+  if (!(term->params() == params())) {
+    return Status::InvalidArgument(
+        "term snapshot params do not match this snapshot");
+  }
+  uint64_t got_lo = 0, got_hi = 0;
+  size_t payload_offset = 0;
+  Status s = ParseSerializedNodeRange(data, size, params(), &got_lo, &got_hi,
+                                      &payload_offset);
+  if (!s.ok()) return s;
+  if (got_lo != lo || got_hi != hi) {
+    return Status::InvalidArgument("node-range delta covers the wrong range");
+  }
+  // Made writable one after the other: if the two shared an arena, the
+  // first clone leaves the second unique, so the ranges never alias.
+  const size_t offset = lo * record_bytes();
+  uint8_t* sum = MutableRecords() + offset;
+  uint8_t* old = term->MutableRecords() + offset;
+  SwapXorTerm(sum, old, data + payload_offset, (hi - lo) * record_bytes());
   return Status::Ok();
 }
 
@@ -448,41 +488,71 @@ Status GraphSnapshot::SaveToFile(const std::string& path) const {
   return Status::Ok();
 }
 
+Status GraphSnapshot::SaveRecordsToSink(
+    const std::function<Status(const void* data, size_t size)>& sink,
+    const NodeSketchParams& params, uint64_t num_updates,
+    const RecordReader& read) {
+  uint8_t header[kHeaderBytes];
+  WriteHeader(params, num_updates, header);
+  Status s = sink(header, kHeaderBytes);
+  if (!s.ok()) return s;
+  const size_t record = NodeSketch::SerializedSizeFor(params);
+  uint64_t written = 0;
+  s = read(0, params.num_nodes,
+           [&sink, &written, record](const uint8_t* records, size_t bytes) {
+             GZ_CHECK_MSG(bytes % record == 0,
+                          "record reader split a node record");
+             // One call per record, whatever the reader's piece size:
+             // consumers may count or compare records call by call.
+             for (size_t at = 0; at < bytes; at += record) {
+               const Status st = sink(records + at, record);
+               if (!st.ok()) return st;
+             }
+             written += bytes / record;
+             return Status::Ok();
+           });
+  GZ_CHECK_MSG(!s.ok() || written == params.num_nodes,
+               "record reader returned the wrong record count");
+  return s;
+}
+
 Status GraphSnapshot::SaveToSink(
     const std::function<Status(const void* data, size_t size)>& sink,
     const NodeSketchParams& params, uint64_t num_updates,
     const std::function<const NodeSketch&(NodeId)>& load) {
-  uint8_t header[kHeaderBytes];
-  WriteHeader(params, num_updates, header);
-  Status s = sink(header, kHeaderBytes);
-  // One record in flight: a sink (file or socket) never needs the
-  // doubled footprint of a full Serialize() buffer.
   std::vector<uint8_t> buf(NodeSketch::SerializedSizeFor(params));
-  for (uint64_t i = 0; s.ok() && i < params.num_nodes; ++i) {
-    const NodeSketch& sketch = load(static_cast<NodeId>(i));
-    GZ_CHECK_MSG(sketch.params() == params, "loader returned wrong params");
-    sketch.SerializeTo(buf.data());
-    s = sink(buf.data(), buf.size());
-  }
-  return s;
+  return SaveRecordsToSink(
+      sink, params, num_updates,
+      [&load, &params, &buf](uint64_t lo, uint64_t hi,
+                             const RecordSink& records) {
+        for (uint64_t i = lo; i < hi; ++i) {
+          const NodeSketch& sketch = load(static_cast<NodeId>(i));
+          GZ_CHECK_MSG(sketch.params() == params,
+                       "loader returned wrong params");
+          sketch.SerializeTo(buf.data());
+          const Status s = records(buf.data(), buf.size());
+          if (!s.ok()) return s;
+        }
+        return Status::Ok();
+      });
 }
 
-Status GraphSnapshot::SaveStream(
-    const std::string& path, const NodeSketchParams& params,
-    uint64_t num_updates,
-    const std::function<const NodeSketch&(NodeId)>& load) {
+Status GraphSnapshot::SaveStream(const std::string& path,
+                                 const NodeSketchParams& params,
+                                 uint64_t num_updates,
+                                 const RecordReader& read) {
   FILE* f = std::fopen(path.c_str(), "wb");
   if (f == nullptr) {
     return Status::IoError("cannot create snapshot file: " + path);
   }
-  Status s = SaveToSink(
+  Status s = SaveRecordsToSink(
       [f, &path](const void* data, size_t size) {
         if (std::fwrite(data, 1, size, f) != size) {
           return Status::IoError("short write to snapshot file: " + path);
         }
         return Status::Ok();
       },
-      params, num_updates, load);
+      params, num_updates, read);
   std::fclose(f);
   return s;
 }

@@ -33,6 +33,7 @@
 #include <vector>
 
 #include "core/sketch_arena.h"
+#include "sketch/node_record.h"
 #include "sketch/node_sketch.h"
 #include "stream/stream_types.h"
 #include "util/status.h"
@@ -85,6 +86,10 @@ class GraphSnapshot {
   // coordinator uses to fold a shard in while materializing only one
   // scratch sketch at a time; call AddUpdates() once per folded source.
   Status MergeNodeDelta(NodeId node, const NodeSketch& delta);
+  // Record form: XORs the hi-lo consecutive node records at `records`
+  // into nodes [lo, hi) — how a sketch store's ReadRecords() pieces fold
+  // in without a scratch sketch.
+  Status MergeNodeRecords(uint64_t lo, uint64_t hi, const uint8_t* records);
   void AddUpdates(uint64_t count) { num_updates_ += count; }
   // Pins the stream position outright — for aggregators (the snapshot
   // cache) that rebuild sketch content from range deltas, which carry
@@ -131,13 +136,24 @@ class GraphSnapshot {
   // mismatch; this snapshot is unchanged on any error. num_updates() is
   // never affected.
   Status MergeSerializedNodeRange(const uint8_t* data, size_t size);
-  // Streaming producer of the ExtractNodeRange byte stream (header
-  // first, then one record per `load` call) — how a shard streams a
-  // migration delta into a socket frame without materializing it.
+  // Replaces one XOR term of this snapshot over nodes [lo, hi): `data`
+  // is a range delta of the term's new content, and in one pass over
+  // the records this ^= term ^ new and term = new (A ^ A ^ B = B) — how
+  // the snapshot cache installs a shard's moved content into the merged
+  // snapshot without copying the old content out. `term` must be
+  // another snapshot with this one's params, and the delta must cover
+  // exactly [lo, hi); InvalidArgument otherwise, with neither snapshot
+  // changed. num_updates() is never affected.
+  Status ReplaceTermRange(GraphSnapshot* term, uint64_t lo, uint64_t hi,
+                          const uint8_t* data, size_t size);
+  // Streaming producer of the ExtractNodeRange byte stream: the header,
+  // then the records of [lo, hi) in the pieces `read` yields — how a
+  // shard streams a migration delta into a socket frame without
+  // materializing it.
   static Status SaveRangeToSink(
       const std::function<Status(const void* data, size_t size)>& sink,
       const NodeSketchParams& params, uint64_t lo, uint64_t hi,
-      const std::function<const NodeSketch&(NodeId)>& load);
+      const RecordReader& read);
   // Validates a range delta's header against `expect_params` and
   // returns its bounds; the payload must cover exactly hi-lo records.
   // `payload_offset` (optional) receives where the records start, so
@@ -148,10 +164,17 @@ class GraphSnapshot {
                                          size_t* payload_offset = nullptr);
 
   // Generalized streaming producer: writes the exact Serialize() byte
-  // stream through `sink` (header first, then one node record per call)
-  // with only one record materialized at a time. SaveStream is this with
-  // a file sink; a shard uses a socket sink to stream a snapshot into
-  // its reply frame.
+  // stream through `sink` — the header in one call, then exactly one
+  // call per node record — pulling the records from `read` (a sketch
+  // store's ReadRecords(), which needs no scratch sketch). SaveStream is
+  // this with a file sink; a shard uses a socket sink to stream a
+  // snapshot into its reply frame.
+  static Status SaveRecordsToSink(
+      const std::function<Status(const void* data, size_t size)>& sink,
+      const NodeSketchParams& params, uint64_t num_updates,
+      const RecordReader& read);
+  // The same byte stream and call pattern, from one node sketch per
+  // `load` call (serialized into a one-record buffer).
   static Status SaveToSink(
       const std::function<Status(const void* data, size_t size)>& sink,
       const NodeSketchParams& params, uint64_t num_updates,
@@ -163,20 +186,18 @@ class GraphSnapshot {
   Status SaveToFile(const std::string& path) const;
   static Result<GraphSnapshot> LoadFromFile(const std::string& path);
 
-  // Streaming file forms: identical file format, but only one node
-  // record is in flight, for producers/consumers that cannot afford a
-  // materialized snapshot (e.g. checkpointing an out-of-core sketch
-  // store). SaveStream pulls each node's sketch from `load` (the
-  // returned reference only needs to stay valid until the next call);
+  // Streaming file forms: identical file format, but no materialized
+  // snapshot, for producers/consumers that cannot afford one (e.g.
+  // checkpointing an out-of-core sketch store). SaveStream writes the
+  // records `read` yields (SaveRecordsToSink with a file sink);
   // LoadStream validates the header against `expect_params`
   // (InvalidArgument on mismatch), hands each record to `store`, and
   // returns the saved update count. `offset` skips a caller-owned
   // prefix first — how a shard checkpoint embeds a snapshot stream
   // after its own header.
-  static Status SaveStream(
-      const std::string& path, const NodeSketchParams& params,
-      uint64_t num_updates,
-      const std::function<const NodeSketch&(NodeId)>& load);
+  static Status SaveStream(const std::string& path,
+                           const NodeSketchParams& params,
+                           uint64_t num_updates, const RecordReader& read);
   static Status LoadStream(
       const std::string& path, const NodeSketchParams& expect_params,
       uint64_t* num_updates,

@@ -179,17 +179,18 @@ GraphSnapshot GraphZeppelin::Snapshot() {
   return GraphSnapshot(store_->params(), store_->Capture(), num_updates_);
 }
 
+RecordReader GraphZeppelin::StoreReader() {
+  return [this](uint64_t lo, uint64_t hi, const RecordSink& sink) {
+    return store_->ReadRecords(lo, hi, sink);
+  };
+}
+
 Status GraphZeppelin::WriteSnapshotTo(
     const std::function<Status(const void* data, size_t size)>& write) {
   GZ_CHECK_MSG(initialized_, "Init() not called");
   Flush();
-  NodeSketch scratch(store_->params());
-  return GraphSnapshot::SaveToSink(
-      write, store_->params(), num_updates_,
-      [this, &scratch](NodeId i) -> const NodeSketch& {
-        store_->Load(i, &scratch);
-        return scratch;
-      });
+  return GraphSnapshot::SaveRecordsToSink(write, store_->params(),
+                                          num_updates_, StoreReader());
 }
 
 Status GraphZeppelin::MergeSnapshotInto(GraphSnapshot* snapshot) {
@@ -200,12 +201,18 @@ Status GraphZeppelin::MergeSnapshotInto(GraphSnapshot* snapshot) {
         "snapshot params do not match this instance");
   }
   Flush();
-  NodeSketch scratch(store_->params());
-  for (NodeId i = 0; i < config_.num_nodes; ++i) {
-    store_->Load(i, &scratch);
-    Status s = snapshot->MergeNodeDelta(i, scratch);
-    if (!s.ok()) return s;
-  }
+  const size_t record = NodeSketch::SerializedSizeFor(store_->params());
+  uint64_t next = 0;
+  Status s = store_->ReadRecords(
+      0, config_.num_nodes,
+      [snapshot, record, &next](const uint8_t* records, size_t bytes) {
+        const uint64_t count = bytes / record;
+        const Status st =
+            snapshot->MergeNodeRecords(next, next + count, records);
+        next += count;
+        return st;
+      });
+  if (!s.ok()) return s;
   snapshot->AddUpdates(num_updates_);
   return Status::Ok();
 }
@@ -218,13 +225,8 @@ Status GraphZeppelin::WriteNodeRangeTo(
     return Status::InvalidArgument("bad node range");
   }
   Flush();
-  NodeSketch scratch(store_->params());
-  return GraphSnapshot::SaveRangeToSink(
-      write, store_->params(), lo, hi,
-      [this, &scratch](NodeId i) -> const NodeSketch& {
-        store_->Load(i, &scratch);
-        return scratch;
-      });
+  return GraphSnapshot::SaveRangeToSink(write, store_->params(), lo, hi,
+                                        StoreReader());
 }
 
 Status GraphZeppelin::MergeSerializedNodeRange(const uint8_t* data,
@@ -256,6 +258,9 @@ Status GraphZeppelin::LoadSnapshot(const GraphSnapshot& snapshot) {
     return Status::InvalidArgument(
         "snapshot sketch parameters do not match this instance");
   }
+  // Drain first, so no update from before the call can land after the
+  // load: the load overwrites every one of them.
+  Flush();
   store_->Unshare();
   NodeSketch scratch(store_->params());
   for (NodeId i = 0; i < config_.num_nodes; ++i) {
@@ -273,23 +278,21 @@ ConnectivityResult GraphZeppelin::ListSpanningForest() {
 Status GraphZeppelin::SaveCheckpoint(const std::string& path) {
   GZ_CHECK_MSG(initialized_, "Init() not called");
   // Streaming form of Snapshot().SaveToFile(path): same file format
-  // (checkpoints ARE snapshots), but only one record in flight, so a
-  // disk-backed store larger than RAM can still checkpoint.
+  // (checkpoints ARE snapshots), written straight from the store's
+  // records, so a disk-backed store larger than RAM can still
+  // checkpoint.
   Flush();
-  NodeSketch scratch(store_->params());
-  return GraphSnapshot::SaveStream(
-      path, store_->params(), num_updates_,
-      [this, &scratch](NodeId i) -> const NodeSketch& {
-        store_->Load(i, &scratch);
-        return scratch;
-      });
+  return GraphSnapshot::SaveStream(path, store_->params(), num_updates_,
+                                   StoreReader());
 }
 
 Status GraphZeppelin::LoadCheckpoint(const std::string& path,
                                      size_t offset) {
   GZ_CHECK_MSG(initialized_, "Init() not called");
   // Streaming counterpart of LoadFromFile + LoadSnapshot: records go
-  // straight into the store without materializing a snapshot.
+  // straight into the store without materializing a snapshot. Drained
+  // first, like LoadSnapshot: pre-load updates are always overwritten.
+  Flush();
   uint64_t saved_updates = 0;
   store_->Unshare();
   Status s = GraphSnapshot::LoadStream(

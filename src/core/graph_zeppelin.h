@@ -130,27 +130,34 @@ class GraphZeppelin {
   // snapshots from same-seed instances XOR-mergeable.
   GraphSnapshot Snapshot();
 
-  // Streaming form of Snapshot().Serialize(): flushes, then writes the
-  // serialized snapshot through `write` with one node record in flight
-  // — a shard streams its snapshot straight into a socket frame this
-  // way, so even an out-of-core sketch store never materializes the
-  // snapshot. The total byte count is GraphSnapshot::SerializedSizeFor
-  // (sketch_params()), known before the first call.
+  // The range writers below stream the store's node records through
+  // SketchStore::ReadRecords, with no scratch sketch: the RAM store
+  // hands out slices of its arena, the disk store reads <= 4 MB runs of
+  // records with one pread each. Each flushes first.
+
+  // Streaming form of Snapshot().Serialize(): writes the serialized
+  // snapshot through `write` — the header in one call, then exactly one
+  // call per node record — so a shard streams its snapshot straight
+  // into a socket frame, and even an out-of-core sketch store never
+  // materializes the snapshot. The total byte count is
+  // GraphSnapshot::SerializedSizeFor(sketch_params()), known before the
+  // first call.
   Status WriteSnapshotTo(
       const std::function<Status(const void* data, size_t size)>& write);
 
-  // Coordinator-side fold: flushes, then XOR-merges this instance's
-  // sketch state into `snapshot` node by node, materializing only one
-  // scratch sketch (not a second full snapshot). InvalidArgument if the
-  // snapshot's params don't match this instance.
+  // Coordinator-side fold: XOR-merges this instance's records into
+  // `snapshot` as ReadRecords() yields them (no second full snapshot,
+  // no scratch sketch). InvalidArgument if the snapshot's params don't
+  // match this instance.
   Status MergeSnapshotInto(GraphSnapshot* snapshot);
 
   // --- Elastic-migration primitives ---------------------------------------
   // Streams the serialized node-range delta [lo, hi) of this instance's
-  // current state through `write` (flushes first; one record in flight)
-  // — how a shard answers a MIGRATE_EXTRACT request straight into a
-  // socket frame. The range comes off the wire, so a bad one is an
-  // InvalidArgument, not a check failure.
+  // current state through `write`: the header, then the records in the
+  // pieces ReadRecords() yields (one arena slice on the RAM store) — how
+  // a shard answers a MIGRATE_EXTRACT request straight into a socket
+  // frame or a reused reply buffer. The range comes off the wire, so a
+  // bad one is an InvalidArgument, not a check failure.
   Status WriteNodeRangeTo(
       uint64_t lo, uint64_t hi,
       const std::function<Status(const void* data, size_t size)>& write);
@@ -167,14 +174,17 @@ class GraphZeppelin {
 
   // Overwrites this instance's sketch state with `snapshot` (e.g. one
   // received from a peer or loaded from a file) and adopts its update
-  // count. Params must match; fails with InvalidArgument otherwise.
+  // count. Flushes first, so every update made before the call is
+  // overwritten, never applied on top of the load. Params must match;
+  // fails with InvalidArgument otherwise.
   Status LoadSnapshot(const GraphSnapshot& snapshot);
 
   // --- Checkpointing -----------------------------------------------------
   // Thin wrappers over snapshot serialization: SaveCheckpoint is
   // Snapshot().SaveToFile(path) — buffered updates are flushed first,
-  // so a restore resumes exactly here — and LoadCheckpoint is
-  // GraphSnapshot::LoadFromFile + LoadSnapshot. `offset` skips a
+  // so a restore resumes exactly here; the records stream from
+  // ReadRecords() — and LoadCheckpoint is GraphSnapshot::LoadFromFile +
+  // LoadSnapshot, flushing first just like it. `offset` skips a
   // caller-owned file prefix (e.g. a shard checkpoint's epoch header)
   // before the snapshot stream.
   Status SaveCheckpoint(const std::string& path);
@@ -209,6 +219,8 @@ class GraphZeppelin {
 
   // Hands the API-boundary span buffer to the gutters.
   void DrainIngestSpan();
+  // store_->ReadRecords as a RecordReader; callers Flush() first.
+  RecordReader StoreReader();
 
   GraphZeppelinConfig config_;
   size_t node_sketch_bytes_ = 0;

@@ -12,9 +12,9 @@
 namespace gz {
 namespace {
 
-// Read size of OnDiskSketchStore::Capture(), rounded down to whole
-// records.
-constexpr size_t kCaptureChunkBytes = size_t{4} << 20;
+// Read size of OnDiskSketchStore::Capture() and ReadRecords(), rounded
+// down to whole records.
+constexpr size_t kReadChunkBytes = size_t{4} << 20;
 
 }  // namespace
 
@@ -51,6 +51,13 @@ void InMemorySketchStore::Store(NodeId node, const NodeSketch& sketch) {
   GZ_CHECK_MSG(arena_.unique(), "writing a captured arena; Unshare() first");
   std::lock_guard<std::mutex> lock(locks_[node]);
   sketch.SerializeTo(arena_.mutable_record(node));
+}
+
+Status InMemorySketchStore::ReadRecords(uint64_t lo, uint64_t hi,
+                                       const RecordSink& sink) {
+  GZ_CHECK(lo <= hi && hi <= params_.num_nodes);
+  if (lo == hi) return Status::Ok();
+  return sink(arena_.record(lo), (hi - lo) * arena_.record_bytes());
 }
 
 size_t InMemorySketchStore::RamByteSize() const {
@@ -140,26 +147,46 @@ void OnDiskSketchStore::Store(NodeId node, const NodeSketch& sketch) {
   bytes_written_ += record_bytes_;
 }
 
-SketchArena OnDiskSketchStore::Capture() {
+uint64_t OnDiskSketchStore::ChunkRecords() const {
+  return std::max<uint64_t>(1, kReadChunkBytes / record_bytes_);
+}
+
+void OnDiskSketchStore::ReadRange(uint64_t lo, uint64_t hi, uint8_t* out) {
   GZ_CHECK_MSG(fd_ >= 0, "Init() not called");
-  SketchArena arena =
-      SketchArena::Uninitialized(params_.num_nodes, record_bytes_);
-  // Multi-record preads: the file holds the records in node order, so
-  // the arena is one contiguous read, issued in bounded chunks.
-  const size_t total = arena.size_bytes();
-  const size_t chunk = std::max(record_bytes_, kCaptureChunkBytes -
-                                                   kCaptureChunkBytes %
-                                                       record_bytes_);
-  uint8_t* out = arena.mutable_data();
+  // The file holds the records in node order, so a range is one
+  // contiguous read, issued in bounded chunks.
+  const size_t total = (hi - lo) * record_bytes_;
+  const size_t chunk = ChunkRecords() * record_bytes_;
+  const off_t base = static_cast<off_t>(lo * record_bytes_);
   for (size_t done = 0; done < total;) {
     const size_t want = std::min(chunk, total - done);
     const ssize_t got =
-        ::pread(fd_, out + done, want, static_cast<off_t>(done));
+        ::pread(fd_, out + done, want, base + static_cast<off_t>(done));
     GZ_CHECK_MSG(got > 0, "sketch store pread");
     done += static_cast<size_t>(got);
   }
   bytes_read_ += total;
+}
+
+SketchArena OnDiskSketchStore::Capture() {
+  SketchArena arena =
+      SketchArena::Uninitialized(params_.num_nodes, record_bytes_);
+  ReadRange(0, params_.num_nodes, arena.mutable_data());
   return arena;
+}
+
+Status OnDiskSketchStore::ReadRecords(uint64_t lo, uint64_t hi,
+                                      const RecordSink& sink) {
+  GZ_CHECK(lo <= hi && hi <= params_.num_nodes);
+  const uint64_t step = ChunkRecords();
+  std::vector<uint8_t> buf(std::min(hi - lo, step) * record_bytes_);
+  for (uint64_t first = lo; first < hi; first += step) {
+    const uint64_t last = std::min(hi, first + step);
+    ReadRange(first, last, buf.data());
+    const Status s = sink(buf.data(), (last - first) * record_bytes_);
+    if (!s.ok()) return s;
+  }
+  return Status::Ok();
 }
 
 size_t OnDiskSketchStore::RamByteSize() const {

@@ -14,8 +14,9 @@
 // Thread safety: MergeDelta/Load are safe to call concurrently from
 // many Graph Workers; stores lock per node. Following Section 5.1,
 // workers accumulate a batch into a private delta sketch and the store
-// only holds the lock for the XOR merge. Capture() and Unshare() are
-// called by the one thread that feeds the workers, while they are idle.
+// only holds the lock for the XOR merge. Capture(), ReadRecords() and
+// Unshare() are called by the one thread that feeds the workers, while
+// they are idle.
 #ifndef GZ_CORE_SKETCH_STORE_H_
 #define GZ_CORE_SKETCH_STORE_H_
 
@@ -26,6 +27,7 @@
 #include <string>
 
 #include "core/sketch_arena.h"
+#include "sketch/node_record.h"
 #include "sketch/node_sketch.h"
 #include "stream/stream_types.h"
 #include "util/status.h"
@@ -53,6 +55,14 @@ class SketchStore {
   // its own arena in O(1); the disk store reads a fresh one.
   virtual SketchArena Capture() = 0;
 
+  // Streams nodes [lo, hi)'s records through `sink` in node order, a
+  // whole number of records per call, with no per-node sketch: the RAM
+  // store hands out slices of its arena, the disk store reads with the
+  // same <= 4 MB multi-record preads as Capture(). Writers must be idle.
+  // Returns the first non-OK sink status.
+  virtual Status ReadRecords(uint64_t lo, uint64_t hi,
+                             const RecordSink& sink) = 0;
+
   // Ensures no captured arena shares the bytes the store writes next,
   // cloning them if a capture is still alive. Called before anything
   // can write — in particular before a worker is handed a batch.
@@ -77,6 +87,8 @@ class InMemorySketchStore : public SketchStore {
   void Load(NodeId node, NodeSketch* out) override;
   void Store(NodeId node, const NodeSketch& sketch) override;
   SketchArena Capture() override { return arena_; }
+  Status ReadRecords(uint64_t lo, uint64_t hi,
+                     const RecordSink& sink) override;
   void Unshare() override { arena_.MakeUnique(); }
   size_t RamByteSize() const override;
   size_t DiskByteSize() const override { return 0; }
@@ -100,6 +112,8 @@ class OnDiskSketchStore : public SketchStore {
   void Load(NodeId node, NodeSketch* out) override;
   void Store(NodeId node, const NodeSketch& sketch) override;
   SketchArena Capture() override;
+  Status ReadRecords(uint64_t lo, uint64_t hi,
+                     const RecordSink& sink) override;
   size_t RamByteSize() const override;
   size_t DiskByteSize() const override;
 
@@ -107,6 +121,11 @@ class OnDiskSketchStore : public SketchStore {
   uint64_t bytes_written() const { return bytes_written_; }
 
  private:
+  // Reads nodes [lo, hi)'s records into `out` in <= 4 MB preads.
+  void ReadRange(uint64_t lo, uint64_t hi, uint8_t* out);
+  // Records per ReadRange() pread: 4 MB, rounded down to whole records.
+  uint64_t ChunkRecords() const;
+
   std::string path_;
   int fd_ = -1;
   size_t record_bytes_ = 0;  // Serialized node-sketch size (uniform).

@@ -15,16 +15,20 @@
 //
 // Refresh is incremental, riding the same XOR linearity as elastic
 // migration: the cache also retains each shard's last-known content,
-// so when shard s moves from content A to content B, folding A then B
-// into the merged snapshot cancels A and installs B (A ^ A ^ B = B) —
-// node-range pulls from ONLY the moved shards, never a full re-fold.
-// A shard that vanished from the table (removed; its content migrated
-// away) is cancelled the same way: fold its cached content once more.
+// so when shard s moves from content A to content B, one fused pass
+// per pulled chunk does merged ^= A ^ B and content = B — node-range
+// pulls from ONLY the moved shards, never a full re-fold, and no copy
+// of A taken out first. A shard that vanished from the table (removed;
+// its content migrated away) is cancelled with one Merge() of its
+// cached content.
 //
 // Cost model: memory is (num_shards + 1) x one snapshot (per-shard
-// content + the merged result); refresh traffic is proportional to the
-// content that actually moved. Queries between watermarks are O(1) —
-// they never touch the ingest path.
+// content + the merged result) and nothing per refresh — the pulled
+// bytes belong to the puller, which needs one staged chunk per planned
+// pull (QuerySession keeps those frames across queries). Refresh
+// traffic is proportional to the content that actually moved, and each
+// pulled chunk is read once. Queries between watermarks are O(1) — they
+// never touch the ingest path.
 //
 // Not thread-safe; the owner (ShardCluster, ShardedGraphZeppelin,
 // QuerySession) serializes access like every other coordinator call.
@@ -62,17 +66,20 @@ using ShardWatermarks = std::map<int, ShardWatermark>;
 
 class SnapshotCache {
  public:
-  // Pulls one serialized node-range delta ([lo, hi), ExtractNodeRange
-  // wire format) of `shard`'s current content into *delta. The cache
-  // never cares where the bytes come from: a live RPC, an in-process
-  // extract, or a pre-staged buffer.
-  using RangePuller = std::function<Status(int shard, uint64_t lo,
-                                           uint64_t hi,
-                                           std::vector<uint8_t>* delta)>;
+  // Yields one serialized node-range delta ([lo, hi), ExtractNodeRange
+  // wire format) of `shard`'s current content as *data / *size. The
+  // puller owns those bytes: they must stay valid and unchanged until
+  // its next call or until Refresh() returns, and the cache only reads
+  // them — so a puller can hand out a verified receive frame or a
+  // reused buffer in place. The cache never cares where the bytes come
+  // from: a live RPC, an in-process extract, or a pre-staged frame.
+  using RangePuller =
+      std::function<Status(int shard, uint64_t lo, uint64_t hi,
+                           const uint8_t** data, size_t* size)>;
 
-  // `nodes_per_chunk` bounds refresh scratch: each pull covers at most
-  // this many nodes, so delta buffers stay small regardless of graph
-  // size. 0 = one chunk per shard.
+  // `nodes_per_chunk` bounds a puller's buffers: each pull covers at
+  // most this many nodes, so they stay small regardless of graph size.
+  // 0 = one chunk per shard.
   explicit SnapshotCache(uint64_t nodes_per_chunk = 1 << 14)
       : nodes_per_chunk_(nodes_per_chunk) {}
 
@@ -129,7 +136,8 @@ class SnapshotCache {
   }
 
   // Chunk-folds `shard`'s transition old-content -> new-content into
-  // both the merged snapshot and the shard's cached content.
+  // both the merged snapshot and the shard's cached content, one fused
+  // pass per chunk (GraphSnapshot::ReplaceTermRange).
   Status PullShard(int shard, const NodeSketchParams& params,
                    const RangePuller& puller);
 

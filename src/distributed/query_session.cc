@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
+#include <iterator>
 #include <map>
 #include <utility>
 
@@ -48,6 +49,7 @@ Status QuerySession::Connect() {
   conn_shard_ids_.clear();
   conn_error_ = Status::Ok();
   cache_.Invalidate();  // Cached content may predate a re-dial.
+  frames_.clear();
   if (options_.endpoints.empty()) {
     return Status::InvalidArgument("query session has no endpoints");
   }
@@ -200,28 +202,107 @@ Status QuerySession::BuildView(const std::vector<ShardStatsEx>& stats,
   return Status::Ok();
 }
 
-Status QuerySession::PullRange(size_t conn, uint64_t lo, uint64_t hi,
-                               std::vector<uint8_t>* delta) {
-  const std::vector<uint8_t> req = EncodeMigrateExtract(lo, hi);
-  Status s = SendFrame(conns_[conn]->fd(),
-                       ShardMessageType::kMigrateExtract, req.data(),
-                       req.size());
+Status QuerySession::SendPull(size_t conn,
+                              const std::vector<uint8_t>& request) {
+  const Status s =
+      SendFrame(conns_[conn]->fd(), ShardMessageType::kMigrateExtract,
+                request.data(), request.size());
   if (!s.ok()) {
     conn_alive_[conn] = false;
     conn_error_ = s;
-    return s;
   }
+  return s;
+}
+
+Status QuerySession::RecvPull(size_t conn, ShardFrame* frame) {
   bool in_sync = false;
-  s = RecvReply(conns_[conn]->fd(), ShardMessageType::kMigrateData,
-                &reply_buf_, &in_sync);
-  if (!s.ok()) {
-    if (!in_sync) {
-      conn_alive_[conn] = false;
-      conn_error_ = s;
-    }
-    return s;
+  const Status s = RecvReply(conns_[conn]->fd(),
+                             ShardMessageType::kMigrateData, frame, &in_sync);
+  if (!s.ok() && !in_sync) {
+    conn_alive_[conn] = false;
+    conn_error_ = s;
   }
-  *delta = std::move(reply_buf_.payload);
+  return s;
+}
+
+Status QuerySession::StagePulls(const PositionView& view,
+                                const std::vector<int>& plan, bool* retry) {
+  *retry = false;
+  std::vector<const std::vector<size_t>*> groups;
+  for (const int shard : plan) {
+    const auto group = view.groups.find(shard);
+    if (group == view.groups.end()) {
+      return Status::Internal("planned pull for an unknown shard id");
+    }
+    groups.push_back(&group->second);
+  }
+  const uint64_t num_nodes = view.params.num_nodes;
+  const uint64_t step =
+      options_.nodes_per_chunk == 0 ? num_nodes : options_.nodes_per_chunk;
+  // Per planned shard: the group index of the replica its request went
+  // to (group size = none took it), and the last send failure.
+  std::vector<size_t> sent(plan.size());
+  std::vector<Status> send_error(plan.size());
+  for (uint64_t lo = 0; lo < num_nodes; lo += step) {
+    const uint64_t hi = std::min(num_nodes, lo + step);
+    const std::vector<uint8_t> request = EncodeMigrateExtract(lo, hi);
+    // Every request out before any reply is read: the shards serialize
+    // their ranges while earlier replies are still being received.
+    for (size_t p = 0; p < plan.size(); ++p) {
+      const std::vector<size_t>& group = *groups[p];
+      sent[p] = group.size();
+      send_error[p] = Status::Ok();
+      for (size_t k = 0; k < group.size(); ++k) {
+        if (!conn_alive_[group[k]]) continue;
+        send_error[p] = SendPull(group[k], request);
+        if (send_error[p].ok()) {
+          sent[p] = k;
+          break;
+        }
+      }
+    }
+    Status fatal = Status::Ok();
+    Status again = Status::Ok();
+    for (size_t p = 0; p < plan.size(); ++p) {
+      const std::vector<size_t>& group = *groups[p];
+      ShardFrame* frame = &frames_[{plan[p], lo}];
+      Status s = send_error[p];
+      bool pulled = false;
+      if (sent[p] < group.size()) {
+        s = RecvPull(group[sent[p]], frame);
+        pulled = s.ok();
+      }
+      // Fail over past a replica that could not answer, one request at
+      // a time: nothing else is outstanding on this shard's replicas.
+      // "Shard not configured" (a writer bounce mid-stage) is every
+      // replica's answer, so it ends the search.
+      for (size_t k = sent[p] + 1;
+           !pulled && s.code() != StatusCode::kFailedPrecondition &&
+           k < group.size();
+           ++k) {
+        if (!conn_alive_[group[k]]) continue;
+        s = SendPull(group[k], request);
+        if (s.ok()) s = RecvPull(group[k], frame);
+        pulled = s.ok();
+      }
+      if (pulled) continue;
+      if (s.ok() || s.code() == StatusCode::kFailedPrecondition) {
+        // The writer bounced, or the shard's last replica died earlier
+        // in the stage: the position will have moved or the alive-set
+        // changed, so the round retries (and the next round's coverage
+        // check surfaces an uncovered shard).
+        if (!*retry) again = s.ok() ? conn_error_ : s;
+        *retry = true;
+      } else if (fatal.ok()) {
+        fatal = s;
+      }
+    }
+    if (!fatal.ok()) {
+      *retry = false;
+      return fatal;
+    }
+    if (*retry) return again;
+  }
   return Status::Ok();
 }
 
@@ -260,45 +341,19 @@ Status QuerySession::Snapshot(const GraphSnapshot** out) {
     // Each chunk comes from any live replica of its shard: replicas
     // are bitwise-equal at the position t0 == t1 certifies, so the
     // pull fails over past a replica that dies mid-stage.
-    std::map<std::pair<int, uint64_t>, std::vector<uint8_t>> staged;
-    bool stage_error = false;
-    for (const int shard : cache_.PlannedPulls(view.epoch, view.marks)) {
-      const auto group = view.groups.find(shard);
-      if (group == view.groups.end()) {
-        return Status::Internal("planned pull for an unknown shard id");
-      }
-      const uint64_t step = options_.nodes_per_chunk == 0
-                                ? view.params.num_nodes
-                                : options_.nodes_per_chunk;
-      for (uint64_t lo = 0; lo < view.params.num_nodes && !stage_error;
-           lo += step) {
-        const uint64_t hi =
-            std::min<uint64_t>(view.params.num_nodes, lo + step);
-        s = Status::Ok();
-        bool pulled = false;
-        for (const size_t conn : group->second) {
-          if (!conn_alive_[conn]) continue;
-          s = PullRange(conn, lo, hi, &staged[{shard, lo}]);
-          if (s.ok()) {
-            pulled = true;
-            break;
-          }
-          if (s.code() == StatusCode::kFailedPrecondition) break;
-        }
-        if (pulled) continue;
-        if (s.ok() || s.code() == StatusCode::kFailedPrecondition) {
-          // "shard not configured" (a writer bounce mid-stage), or the
-          // last replica died earlier in the stage: the position will
-          // have moved or the alive-set changed; retry the round. (The
-          // next round's coverage check surfaces an uncovered shard.)
-          last = s.ok() ? conn_error_ : s;
-          stage_error = true;
-        } else {
-          return s;
-        }
-      }
+    const std::vector<int> plan = cache_.PlannedPulls(view.epoch, view.marks);
+    for (auto it = frames_.begin(); it != frames_.end();) {
+      // Frames of shards that left the cluster are never read again.
+      it = view.marks.count(it->first.first) > 0 ? std::next(it)
+                                                 : frames_.erase(it);
     }
-    if (stage_error) continue;
+    bool retry = false;
+    s = StagePulls(view, plan, &retry);
+    if (retry) {
+      last = s;
+      continue;
+    }
+    if (!s.ok()) return s;
     s = ReadPositions(&t1);
     if (!s.ok()) return s;
     if (!SamePosition(t0, alive0, t1, conn_alive_)) {
@@ -306,20 +361,24 @@ Status QuerySession::Snapshot(const GraphSnapshot** out) {
           "cluster position moved during the refresh");
       continue;
     }
+    // The cache folds the staged frames in place; they stay here for the
+    // next refresh to receive into.
     s = cache_.Refresh(
         view.epoch, view.marks, view.total_updates, view.params,
-        [&staged](int shard, uint64_t lo, uint64_t hi,
-                  std::vector<uint8_t>* delta) {
+        [this, &plan](int shard, uint64_t lo, uint64_t hi,
+                      const uint8_t** data, size_t* size) {
           (void)hi;
-          auto it = staged.find({shard, lo});
-          if (it == staged.end()) {
+          const auto it = frames_.find({shard, lo});
+          if (it == frames_.end() ||
+              !std::binary_search(plan.begin(), plan.end(), shard)) {
             // A cold rebuild wanted a chunk the plan did not stage
             // (cache was valid, then a geometry-level invalidation
             // struck mid-round). Refresh invalidates on this error, so
             // the NEXT round plans — and stages — every shard.
             return Status::Internal("refresh chunk was not pre-staged");
           }
-          *delta = std::move(it->second);
+          *data = it->second.payload.data();
+          *size = it->second.payload.size();
           return Status::Ok();
         });
     if (!s.ok()) {

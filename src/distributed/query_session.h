@@ -16,6 +16,14 @@
 // A moving cluster just makes the refresh retry; a bounded number of
 // failed rounds returns an error rather than spinning forever.
 //
+// Staging is pipelined across shards: for each chunk, the extract
+// request goes out to every planned shard before any reply is read
+// (at most one request outstanding per connection), so the shards
+// serialize their ranges while the session receives. Each reply lands
+// straight in a per-(shard, chunk) frame the session keeps across
+// queries, and the cache folds the verified bytes in place — a refresh
+// moves each pulled byte off the socket once and copies none of it.
+//
 // Replication: endpoints may include several listeners serving the
 // SAME shard id (its replicas). The session groups connections by the
 // shard id each reports, verifies the group sizes against the
@@ -50,6 +58,7 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/connectivity.h"
@@ -205,10 +214,20 @@ class QuerySession {
   // (or was never learned) surfaces the saved transport error.
   Status BuildView(const std::vector<ShardStatsEx>& stats,
                    PositionView* view);
-  // kMigrateExtract -> kMigrateData pull of [lo, hi) from conns_[i];
-  // marks the connection dead on transport failure.
-  Status PullRange(size_t conn, uint64_t lo, uint64_t hi,
-                   std::vector<uint8_t>* delta);
+  // Stages every chunk of every shard in `plan` into frames_,
+  // pipelined across shards (see the header comment). Each chunk comes
+  // from any live replica of its shard, failing over past one that
+  // cannot answer. Ok when all are staged; *retry set when the round
+  // must be retried (a shard refused as unconfigured, or its last
+  // replica died earlier in the stage); any other error is returned.
+  // Every reply requested is drained before it returns, so the
+  // connections stay in sync whatever the outcome.
+  Status StagePulls(const PositionView& view, const std::vector<int>& plan,
+                    bool* retry);
+  // The two halves of one kMigrateExtract -> kMigrateData pull on
+  // conns_[conn]; both mark the connection dead on transport failure.
+  Status SendPull(size_t conn, const std::vector<uint8_t>& request);
+  Status RecvPull(size_t conn, ShardFrame* frame);
 
   // Dials every endpoint as an extra reader session and converts each
   // into a kSubscribe notify stream. Failures drop the stream, never
@@ -233,6 +252,9 @@ class QuerySession {
   Status conn_error_;
   SnapshotCache cache_;
   ShardFrame reply_buf_;
+  // Staged range pulls by (shard, chunk lo). Kept across queries, so a
+  // refresh receives into buffers that are already the right size.
+  std::map<std::pair<int, uint64_t>, ShardFrame> frames_;
   int last_refresh_rounds_ = 0;
 
   // ---- Watch state ------------------------------------------------

@@ -744,9 +744,7 @@ Status ShardCluster::PumpMigration() {
     }
     for (int r = 0; r < replication_; ++r) {
       pending_deltas_[m.source][r].push_back(
-          {++delta_seq_sent_[m.source][r],
-           r == replication_ - 1 ? std::move(reply_buf_.payload)
-                                 : reply_buf_.payload});
+          {++delta_seq_sent_[m.source][r], reply_buf_.payload});
     }
     m.next_node = hi;
     // BOTH sides' sends must be attempted even if the first fails: a
@@ -1068,7 +1066,7 @@ Result<ShardStats> ShardCluster::Stats(int shard) {
 // ---- Replication -----------------------------------------------------------
 
 Status ShardCluster::ExtractRange(int shard, int replica, uint64_t lo,
-                                  uint64_t hi, std::vector<uint8_t>* bytes) {
+                                  uint64_t hi) {
   const std::vector<uint8_t> req = EncodeMigrateExtract(lo, hi);
   Status s = SendFrame(procs_[shard][replica]->fd(),
                        ShardMessageType::kMigrateExtract, req.data(),
@@ -1080,12 +1078,8 @@ Status ShardCluster::ExtractRange(int shard, int replica, uint64_t lo,
   bool in_sync = false;
   s = RecvReply(procs_[shard][replica]->fd(),
                 ShardMessageType::kMigrateData, &reply_buf_, &in_sync);
-  if (!s.ok()) {
-    if (!in_sync) down_[shard][replica] = true;
-    return s;
-  }
-  *bytes = std::move(reply_buf_.payload);
-  return Status::Ok();
+  if (!s.ok() && !in_sync) down_[shard][replica] = true;
+  return s;
 }
 
 Status ShardCluster::CheckpointReplica(int shard, int replica) {
@@ -1113,7 +1107,7 @@ Status ShardCluster::CheckpointReplica(int shard, int replica) {
 
 Status ShardCluster::RepairReplica(int shard, int replica, int reference,
                                    uint64_t expected_updates,
-                                   GraphSnapshot* scratch,
+                                   std::vector<uint8_t>* diff,
                                    uint64_t* repaired_chunks) {
   const bool rejoined = down_[shard][replica];
   if (rejoined) {
@@ -1144,46 +1138,51 @@ Status ShardCluster::RepairReplica(int shard, int replica, int reference,
                   ex.delta_seq == delta_seq_sent_[shard][replica] &&
                   ex.epoch == table_.epoch;
   }
+  NodeSketchParams params;
+  params.num_nodes = base_.num_nodes;
+  params.seed = base_.seed;
+  params.cols = base_.cols;
+  params.rounds = base_.rounds > 0 ? base_.rounds
+                                   : NodeSketch::DefaultRounds(base_.num_nodes);
   uint64_t diffs = 0;
   for (uint64_t lo = 0; lo < base_.num_nodes;
        lo += options_.migrate_nodes_per_chunk) {
     const uint64_t hi =
         std::min(base_.num_nodes, lo + options_.migrate_nodes_per_chunk);
-    std::vector<uint8_t> want, have;
-    Status st = ExtractRange(shard, reference, lo, hi, &want);
+    // The reference's bytes are copied to `diff` before the second pull
+    // reuses the receive buffer.
+    Status st = ExtractRange(shard, reference, lo, hi);
     if (!st.ok()) return st;
-    st = ExtractRange(shard, replica, lo, hi, &have);
+    diff->assign(reply_buf_.payload.begin(), reply_buf_.payload.end());
+    st = ExtractRange(shard, replica, lo, hi);
     if (!st.ok()) return st;
-    if (want == have) continue;  // Bitwise-equal chunk: nothing to do.
+    const std::vector<uint8_t>& have = reply_buf_.payload;
+    if (*diff == have) continue;  // Bitwise-equal chunk: nothing to do.
     ++diffs;
-    // XOR-diff through the scratch snapshot: fold both serializations
-    // in (the range now holds reference XOR suspect), extract that
-    // difference, then fold the extraction back so the scratch returns
-    // to zero for the next chunk. Folding the difference into the
-    // suspect makes it equal to the reference — whichever copy was
-    // behind, the XOR moves it forward.
-    if (!scratch->valid()) {
-      NodeSketchParams params;
-      params.num_nodes = base_.num_nodes;
-      params.seed = base_.seed;
-      params.cols = base_.cols;
-      params.rounds = base_.rounds > 0
-                          ? base_.rounds
-                          : NodeSketch::DefaultRounds(base_.num_nodes);
-      *scratch = GraphSnapshot::Zero(params);
+    // XOR-diff: both deltas describe [lo, hi) under one header, so
+    // XORing the suspect's records into the reference's leaves
+    // reference ^ suspect. Folding that difference into the suspect
+    // makes it equal to the reference — whichever copy was behind, the
+    // XOR moves it forward.
+    size_t payload = 0;
+    uint64_t want_lo = 0, want_hi = 0, have_lo = 0, have_hi = 0;
+    st = GraphSnapshot::ParseSerializedNodeRange(
+        diff->data(), diff->size(), params, &want_lo, &want_hi, &payload);
+    if (st.ok()) {
+      st = GraphSnapshot::ParseSerializedNodeRange(
+          have.data(), have.size(), params, &have_lo, &have_hi);
     }
-    st = scratch->MergeSerializedNodeRange(want.data(), want.size());
     if (!st.ok()) return st;
-    st = scratch->MergeSerializedNodeRange(have.data(), have.size());
-    if (!st.ok()) return st;
-    const std::vector<uint8_t> diff = scratch->ExtractNodeRange(lo, hi);
-    st = scratch->MergeSerializedNodeRange(diff.data(), diff.size());
-    if (!st.ok()) return st;
+    if (want_lo != have_lo || want_hi != have_hi) {
+      return Status::Internal("replicas returned different node ranges");
+    }
+    XorBytes(diff->data() + payload, have.data() + payload,
+             diff->size() - payload);
     // Deliberately UNLOGGED (see Reconcile's contract): repair deltas
     // are content transfer, not replay lineage.
     ShardAck ack;
     st = procs_[shard][replica]->CallAck(ShardMessageType::kMergeDelta,
-                                         diff.data(), diff.size(), &ack);
+                                         diff->data(), diff->size(), &ack);
     if (!st.ok()) {
       down_[shard][replica] = true;
       return st;
@@ -1215,9 +1214,8 @@ Status ShardCluster::RepairReplica(int shard, int replica, int reference,
 Status ShardCluster::Reconcile(uint64_t* repaired_chunks) {
   if (!started_) return Status::FailedPrecondition("cluster not started");
   if (repaired_chunks != nullptr) *repaired_chunks = 0;
-  // One scratch snapshot for every XOR diff, built lazily on the first
-  // differing chunk and re-zeroed after each use.
-  GraphSnapshot scratch;
+  // One buffer for every chunk's XOR diff.
+  std::vector<uint8_t> diff;
   Status first_error = Status::Ok();
   for (int s = 0; s < num_shards(); ++s) {
     if (procs_[s].empty()) continue;
@@ -1256,7 +1254,7 @@ Status ShardCluster::Reconcile(uint64_t* repaired_chunks) {
     }
     for (int r = 0; r < replication_; ++r) {
       if (r == ref) continue;
-      Status st = RepairReplica(s, r, ref, expected, &scratch,
+      Status st = RepairReplica(s, r, ref, expected, &diff,
                                 repaired_chunks);
       if (!st.ok() && first_error.ok()) first_error = st;
     }
@@ -1306,8 +1304,8 @@ Status ShardCluster::CachedSnapshot(const GraphSnapshot** out) {
     // keyed position — so the pull fails over past dead ones.
     const Status s = cache_.Refresh(
         table_.epoch, marks, total_updates, params,
-        [this](int shard, uint64_t lo, uint64_t hi,
-               std::vector<uint8_t>* delta) {
+        [this](int shard, uint64_t lo, uint64_t hi, const uint8_t** data,
+               size_t* size) {
           if (procs_[shard].empty() || FirstUnfencedReplica(shard) < 0) {
             return Status::FailedPrecondition(
                 "snapshot-cache refresh needs shard " +
@@ -1317,8 +1315,14 @@ Status ShardCluster::CachedSnapshot(const GraphSnapshot** out) {
           Status st = Status::Ok();
           for (int r = 0; r < replication_; ++r) {
             if (down_[shard][r]) continue;
-            st = ExtractRange(shard, r, lo, hi, delta);
-            if (st.ok()) return st;  // Fenced on failure; try the next.
+            st = ExtractRange(shard, r, lo, hi);
+            if (st.ok()) {
+              // Read by the cache before the next pull reuses the buffer.
+              *data = reply_buf_.payload.data();
+              *size = reply_buf_.payload.size();
+              return st;
+            }
+            // Fenced on failure; try the next.
           }
           return st;
         });

@@ -388,16 +388,17 @@ class ShardCluster {
   Status RequireAllHealthy();
   // One STATS_EX round trip to one replica; fences it on failure.
   Status ReplicaStatsEx(int shard, int replica, ShardStatsEx* ex);
-  // kMigrateExtract -> kMigrateData pull of [lo, hi) from one replica;
-  // fences it on failure. Read-only on the shard.
-  Status ExtractRange(int shard, int replica, uint64_t lo, uint64_t hi,
-                      std::vector<uint8_t>* bytes);
+  // kMigrateExtract -> kMigrateData pull of [lo, hi) from one replica
+  // into reply_buf_ (valid until the next receive); fences it on
+  // failure. Read-only on the shard.
+  Status ExtractRange(int shard, int replica, uint64_t lo, uint64_t hi);
   // Per-replica kCheckpoint RPC, committing the coordinator's books for
   // that replica exactly as the cluster-wide Checkpoint() barrier does.
   Status CheckpointReplica(int shard, int replica);
   // Reconcile's inner loop: repair `replica` against `reference`.
+  // `diff` is a scratch buffer reused across chunks and calls.
   Status RepairReplica(int shard, int replica, int reference,
-                       uint64_t expected_updates, GraphSnapshot* scratch,
+                       uint64_t expected_updates, std::vector<uint8_t>* diff,
                        uint64_t* repaired_chunks);
 
   GraphZeppelinConfig base_;
@@ -446,7 +447,10 @@ class ShardCluster {
   std::optional<Migration> migration_;
   uint64_t updates_since_checkpoint_ = 0;  // Drives auto-checkpointing.
   uint64_t updates_since_reconcile_ = 0;   // Drives periodic anti-entropy.
-  ShardFrame reply_buf_;  // Reused for pipelined replies.
+  // The one receive buffer for replies — barriers, snapshots, migration
+  // and repair pulls, cache refreshes; never moved out, so its capacity
+  // carries over.
+  ShardFrame reply_buf_;
   // The serving tier's merged-snapshot cache (see CachedSnapshot()).
   SnapshotCache cache_;
   StandingQueryRegistry standing_queries_;

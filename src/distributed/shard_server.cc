@@ -333,12 +333,21 @@ Status ShardServer::ServeReaderFrame(const ShardFrame& frame) {
   // Materialize the whole reply under the instance mutex, send it
   // after release: a reader with a full socket buffer must stall on
   // its OWN send deadline, never while holding the lock the writer's
-  // ingest path needs.
+  // ingest path needs. Snapshot and range replies are written into
+  // this session's reused buffer (the store's records in arena-sized
+  // pieces); the small replies are built fresh.
   ShardMessageType reply_type = ShardMessageType::kError;
-  std::vector<uint8_t> reply;
+  std::vector<uint8_t> small;
+  const std::vector<uint8_t>* reply = &small;
   const auto fail = [&](const Status& error) {
     reply_type = ShardMessageType::kError;
-    reply = EncodeShardError(error);
+    small = EncodeShardError(error);
+    reply = &small;
+  };
+  const auto append = [this](const void* data, size_t size) {
+    const uint8_t* p = static_cast<const uint8_t*>(data);
+    reader_reply_.insert(reader_reply_.end(), p, p + size);
+    return Status::Ok();
   };
   {
     std::lock_guard<std::mutex> lock(state_->mutex);
@@ -365,34 +374,29 @@ Status ShardServer::ServeReaderFrame(const ShardFrame& frame) {
       switch (frame.type) {
         case ShardMessageType::kPing:
           reply_type = ShardMessageType::kAck;
-          reply = EncodeShardAck(ShardAck{0, 0});
+          small = EncodeShardAck(ShardAck{0, 0});
           break;
         case ShardMessageType::kStats: {
           reply_type = ShardMessageType::kAck;
-          reply = EncodeShardAck(
+          small = EncodeShardAck(
               ShardAck{state_->gz->num_updates_ingested(),
                        state_->gz->RamByteSize()});
           break;
         }
         case ShardMessageType::kStatsEx:
           reply_type = ShardMessageType::kStatsReply;
-          reply = BuildStatsEx(*state_);
+          small = BuildStatsEx(*state_);
           break;
         case ShardMessageType::kSnapshot: {
-          std::vector<uint8_t> bytes;
-          bytes.reserve(GraphSnapshot::SerializedSizeFor(
+          reader_reply_.clear();  // Keeps capacity.
+          reader_reply_.reserve(GraphSnapshot::SerializedSizeFor(
               state_->gz->sketch_params()));
-          const Status s = state_->gz->WriteSnapshotTo(
-              [&bytes](const void* data, size_t size) {
-                const uint8_t* p = static_cast<const uint8_t*>(data);
-                bytes.insert(bytes.end(), p, p + size);
-                return Status::Ok();
-              });
+          const Status s = state_->gz->WriteSnapshotTo(append);
           if (!s.ok()) {
             fail(s);
           } else {
             reply_type = ShardMessageType::kSnapshotBytes;
-            reply = std::move(bytes);
+            reply = &reader_reply_;
           }
           break;
         }
@@ -404,7 +408,7 @@ Status ShardServer::ServeReaderFrame(const ShardFrame& frame) {
                 "0)"));
           } else {
             reply_type = ShardMessageType::kHeavyHitterBytes;
-            reply = hh->Serialize();
+            small = hh->Serialize();
           }
           break;
         }
@@ -420,20 +424,15 @@ Status ShardServer::ServeReaderFrame(const ShardFrame& frame) {
             fail(s);
             break;
           }
-          std::vector<uint8_t> bytes;
-          bytes.reserve(GraphSnapshot::SerializedRangeSizeFor(
+          reader_reply_.clear();  // Keeps capacity.
+          reader_reply_.reserve(GraphSnapshot::SerializedRangeSizeFor(
               state_->gz->sketch_params(), lo, hi));
-          s = state_->gz->WriteNodeRangeTo(
-              lo, hi, [&bytes](const void* data, size_t size) {
-                const uint8_t* p = static_cast<const uint8_t*>(data);
-                bytes.insert(bytes.end(), p, p + size);
-                return Status::Ok();
-              });
+          s = state_->gz->WriteNodeRangeTo(lo, hi, append);
           if (!s.ok()) {
             fail(s);
           } else {
             reply_type = ShardMessageType::kMigrateData;
-            reply = std::move(bytes);
+            reply = &reader_reply_;
           }
           break;
         }
@@ -443,7 +442,7 @@ Status ShardServer::ServeReaderFrame(const ShardFrame& frame) {
       }
     }
   }
-  return SendFrame(fd_, reply_type, reply.data(), reply.size());
+  return SendFrame(fd_, reply_type, reply->data(), reply->size());
 }
 
 Status ShardServer::ServeSubscription(std::vector<uint8_t> last_notified) {

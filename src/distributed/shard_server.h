@@ -175,6 +175,9 @@ class ShardServer {
   ShardSessionRole role_ = ShardSessionRole::kWriter;
   bool handshaken_ = false;
   int reader_timeout_seconds_ = 30;
+  // A reader session's SNAPSHOT / MIGRATE_EXTRACT reply, reused across
+  // its requests so a steady refresh cadence allocates nothing.
+  std::vector<uint8_t> reader_reply_;
 };
 
 }  // namespace gz

@@ -209,6 +209,19 @@ Result<HeavyHitterSketch> ShardedGraphZeppelin::HeavyHitters() {
   return merged;
 }
 
+Status ShardedGraphZeppelin::ExtractRange(int shard, uint64_t lo,
+                                          uint64_t hi) {
+  range_buf_.clear();  // Keeps capacity.
+  range_buf_.reserve(GraphSnapshot::SerializedRangeSizeFor(
+      shards_[shard]->sketch_params(), lo, hi));
+  return shards_[shard]->WriteNodeRangeTo(
+      lo, hi, [this](const void* data, size_t size) {
+        const uint8_t* p = static_cast<const uint8_t*>(data);
+        range_buf_.insert(range_buf_.end(), p, p + size);
+        return Status::Ok();
+      });
+}
+
 Status ShardedGraphZeppelin::CachedSnapshot(const GraphSnapshot** out) {
   if (!initialized_) return Status::FailedPrecondition("not initialized");
   if (mode_ == Mode::kProcess) {
@@ -237,17 +250,12 @@ Status ShardedGraphZeppelin::CachedSnapshot(const GraphSnapshot** out) {
     params.rounds = base_.rounds;
     const Status s = cache_.Refresh(
         table_.epoch, marks, total_updates, params,
-        [this](int shard, uint64_t lo, uint64_t hi,
-               std::vector<uint8_t>* delta) {
-          delta->clear();
-          delta->reserve(GraphSnapshot::SerializedRangeSizeFor(
-              shards_[shard]->sketch_params(), lo, hi));
-          return shards_[shard]->WriteNodeRangeTo(
-              lo, hi, [delta](const void* data, size_t size) {
-                const uint8_t* p = static_cast<const uint8_t*>(data);
-                delta->insert(delta->end(), p, p + size);
-                return Status::Ok();
-              });
+        [this](int shard, uint64_t lo, uint64_t hi, const uint8_t** data,
+               size_t* size) {
+          const Status st = ExtractRange(shard, lo, hi);
+          *data = range_buf_.data();
+          *size = range_buf_.size();
+          return st;
         });
     if (!s.ok()) return s;
   }
@@ -401,21 +409,11 @@ Status ShardedGraphZeppelin::PumpMigration() {
     // XOR-cancelled on the source. A KNOWN delta commutes with
     // whatever ingestion lands between pump steps, so this is exact
     // with no captured copy of the source's full state.
-    std::vector<uint8_t> delta;
-    delta.reserve(GraphSnapshot::SerializedRangeSizeFor(
-        shards_[m.source]->sketch_params(), lo, hi));
-    GZ_CHECK_OK(shards_[m.source]->WriteNodeRangeTo(
-        lo, hi, [&delta](const void* data, size_t size) {
-          const uint8_t* p = static_cast<const uint8_t*>(data);
-          delta.insert(delta.end(), p, p + size);
-          return Status::Ok();
-        }));
-    GZ_CHECK_OK(
-        shards_[m.target]->MergeSerializedNodeRange(delta.data(),
-                                                    delta.size()));
-    GZ_CHECK_OK(
-        shards_[m.source]->MergeSerializedNodeRange(delta.data(),
-                                                    delta.size()));
+    GZ_CHECK_OK(ExtractRange(m.source, lo, hi));
+    GZ_CHECK_OK(shards_[m.target]->MergeSerializedNodeRange(
+        range_buf_.data(), range_buf_.size()));
+    GZ_CHECK_OK(shards_[m.source]->MergeSerializedNodeRange(
+        range_buf_.data(), range_buf_.size()));
     // Each fold is one migration delta: content changed with no update
     // count change, which is exactly what the watermark's second
     // component versions (mirrors the cluster's delta_seq_sent_).

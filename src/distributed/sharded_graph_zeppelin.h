@@ -170,6 +170,9 @@ class ShardedGraphZeppelin {
 
   void DrainPending();
   int AllocateInProcessShard();
+  // Fills range_buf_ with in-process shard `shard`'s node-range delta
+  // [lo, hi) (WriteNodeRangeTo, which flushes first).
+  Status ExtractRange(int shard, uint64_t lo, uint64_t hi);
 
   GraphZeppelinConfig base_;
   Mode mode_;
@@ -193,6 +196,9 @@ class ShardedGraphZeppelin {
   // The in-process serving cache behind CachedSnapshot(); process mode
   // uses the cluster's. Same split for the standing-query registry.
   SnapshotCache cache_;
+  // In-process range extracts (cache refreshes, migration chunks): one
+  // buffer, refilled by WriteNodeRangeTo for every chunk.
+  std::vector<uint8_t> range_buf_;
   StandingQueryRegistry standing_queries_;
   std::optional<InProcessMigration> migration_;
   // Process mode state.

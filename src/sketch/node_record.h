@@ -18,10 +18,12 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <functional>
 #include <vector>
 
 #include "sketch/node_sketch.h"
 #include "sketch/sketch_sample.h"
+#include "util/status.h"
 
 namespace gz {
 
@@ -37,6 +39,36 @@ inline void XorBytes(uint8_t* dst, const uint8_t* src, size_t bytes) {
   }
   for (; i < bytes; ++i) dst[i] ^= src[i];
 }
+
+// sum ^= term ^ fresh, then term = fresh, in one pass: replaces one XOR
+// term of a sum (A ^ A ^ B = B) without copying the old term out. The
+// three ranges must not overlap.
+inline void SwapXorTerm(uint8_t* sum, uint8_t* term, const uint8_t* fresh,
+                        size_t bytes) {
+  size_t i = 0;
+  for (; i + 8 <= bytes; i += 8) {
+    uint64_t s, t, f;
+    std::memcpy(&s, sum + i, 8);
+    std::memcpy(&t, term + i, 8);
+    std::memcpy(&f, fresh + i, 8);
+    s ^= t ^ f;
+    std::memcpy(sum + i, &s, 8);
+    std::memcpy(term + i, &f, 8);
+  }
+  for (; i < bytes; ++i) {
+    sum[i] ^= term[i] ^ fresh[i];
+    term[i] = fresh[i];
+  }
+}
+
+// Receives consecutive node records, a whole number of them per call,
+// in node order (SketchStore::ReadRecords). The bytes are only valid
+// during the call.
+using RecordSink = std::function<Status(const uint8_t* records, size_t bytes)>;
+// Streams nodes [lo, hi)'s records through a RecordSink; returns the
+// first non-OK sink status. SketchStore::ReadRecords is one.
+using RecordReader =
+    std::function<Status(uint64_t lo, uint64_t hi, const RecordSink& sink)>;
 
 // Geometry and hash seeds of one params' node records: everything a
 // reader needs to sample a record's rounds in place.

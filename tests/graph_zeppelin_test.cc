@@ -2,6 +2,7 @@
 // buffering x storage configurations.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <string>
 #include <tuple>
 
@@ -9,6 +10,7 @@
 #include "core/graph_zeppelin.h"
 #include "stream/erdos_renyi_generator.h"
 #include "stream/stream_transform.h"
+#include "util/check.h"
 
 namespace gz {
 namespace {
@@ -350,6 +352,67 @@ TEST(GraphZeppelinTest, ManyWorkersProduceSameAnswer) {
   ASSERT_FALSE(r.failed);
   EXPECT_EQ(r.num_components, 1u);
 }
+
+// A load must overwrite every update made before it, including ones
+// still buffered in the gutters or queued for a worker: the loaded
+// instance's snapshot is bitwise the loaded state, whatever ingest
+// preceded the call unflushed.
+class GraphZeppelinLoadTest : public ::testing::TestWithParam<Storage> {
+ protected:
+  GraphZeppelinConfig Config() const {
+    GraphZeppelinConfig c =
+        MakeConfig(64, 31, Buffering::kLeafOnly, GetParam());
+    c.num_workers = 4;
+    return c;
+  }
+  // Feeds a path over every node, then churn, and never flushes.
+  static void IngestUnflushed(GraphZeppelin* gz, uint64_t salt) {
+    for (NodeId i = 0; i + 1 < 64; ++i) {
+      gz->Update({Edge(i, i + 1), UpdateType::kInsert});
+    }
+    uint64_t x = salt;
+    for (int i = 0; i < 20000; ++i) {
+      x = x * 6364136223846793005ULL + 1442695040888963407ULL;
+      const NodeId u = static_cast<NodeId>((x >> 33) % 64);
+      const NodeId v = static_cast<NodeId>((u + 1 + (x >> 40) % 63) % 64);
+      gz->Update({Edge(u, v), UpdateType::kInsert});
+    }
+  }
+  // The state to load: a different stream's snapshot.
+  GraphSnapshot Source() const {
+    GraphZeppelin source(Config());
+    GZ_CHECK_OK(source.Init());
+    source.Update({Edge(3, 40), UpdateType::kInsert});
+    source.Update({Edge(7, 8), UpdateType::kInsert});
+    return source.Snapshot();
+  }
+};
+
+TEST_P(GraphZeppelinLoadTest, LoadSnapshotOverwritesUnflushedUpdates) {
+  const GraphSnapshot loaded = Source();
+  GraphZeppelin gz(Config());
+  ASSERT_TRUE(gz.Init().ok());
+  IngestUnflushed(&gz, 1);
+  ASSERT_TRUE(gz.LoadSnapshot(loaded).ok());
+  EXPECT_TRUE(gz.Snapshot() == loaded);
+}
+
+TEST_P(GraphZeppelinLoadTest, LoadCheckpointOverwritesUnflushedUpdates) {
+  const GraphSnapshot loaded = Source();
+  const std::string path = ::testing::TempDir() + "/gz_load_test_" +
+                           std::to_string(static_cast<int>(GetParam())) +
+                           ".snap";
+  ASSERT_TRUE(loaded.SaveToFile(path).ok());
+  GraphZeppelin gz(Config());
+  ASSERT_TRUE(gz.Init().ok());
+  IngestUnflushed(&gz, 2);
+  ASSERT_TRUE(gz.LoadCheckpoint(path).ok());
+  EXPECT_TRUE(gz.Snapshot() == loaded);
+  std::remove(path.c_str());
+}
+
+INSTANTIATE_TEST_SUITE_P(Storages, GraphZeppelinLoadTest,
+                         ::testing::Values(Storage::kRam, Storage::kDisk));
 
 }  // namespace
 }  // namespace gz

@@ -606,5 +606,39 @@ TEST_F(ServingTierTcpTest, ReaderFailsOverToAliveReplicaMidSweep) {
   cluster.Shutdown();  // Both children are already gone; best effort.
 }
 
+TEST_F(ServingTierTcpTest, PipelinedPullsAcrossReplicaGroupsStayBitwise) {
+  // The staged pulls go out to every planned shard before any reply is
+  // read, chunk after chunk. Two shards at R=2, six chunks each: shard
+  // 0's first replica dies after the session learned the groups, so
+  // its chunks come from the survivor while shard 1's come from its
+  // first replica — and the fold is still the writer's, bit for bit.
+  StartFleet(4);  // Shard-major: endpoints 0-1 serve shard 0, 2-3 shard 1.
+  ShardClusterOptions options;
+  options.auth_secret = kSecret;
+  options.shard_endpoints = endpoints_;
+  options.replication_factor = 2;
+  ShardCluster cluster(BaseConfig(131), 2, options);
+  ASSERT_TRUE(cluster.Start().ok());
+  const std::vector<GraphUpdate> updates = BuildStream(131);
+  ASSERT_TRUE(cluster.Update(updates.data(), updates.size()).ok());
+  ASSERT_TRUE(cluster.Flush().ok());
+  Result<GraphSnapshot> full = cluster.Snapshot();
+  ASSERT_TRUE(full.ok()) << full.status().ToString();
+
+  QuerySession session(ReaderOptions());
+  ASSERT_TRUE(session.Connect().ok());
+  bool fresh = true;
+  ASSERT_TRUE(session.PollPositions(&fresh).ok());  // Learns the groups.
+  EXPECT_FALSE(fresh);
+  listeners_[0]->Stop();
+  const GraphSnapshot* served = nullptr;
+  const Status s = session.Snapshot(&served);
+  ASSERT_TRUE(s.ok()) << s.ToString();
+  EXPECT_TRUE(*served == full.value());
+  EXPECT_EQ(session.cache().range_pulls(), 2 * kChunksPerShard);
+  EXPECT_EQ(session.cache().cold_builds(), 1u);
+  cluster.Shutdown();  // One child is already gone; best effort.
+}
+
 }  // namespace
 }  // namespace gz

@@ -194,6 +194,53 @@ TEST_P(SketchStoreTest, CaptureHoldsEveryRecordAndOutlivesWrites) {
   EXPECT_NE(0, std::memcmp(record.data(), capture.record(0), record.size()));
 }
 
+TEST_P(SketchStoreTest, ReadRecordsStreamsCaptureBytesInWholeRecords) {
+  // ~15 MB of full-size records, so the disk store's ranges span several
+  // chunked preads. Any range must stream exactly Capture()'s bytes, a
+  // whole number of records per sink call, and a sink error must stop
+  // the stream and come back.
+  NodeSketchParams params = MakeParams(600, 13);
+  params.rounds = 0;
+  auto store = MakeStore(params, "store_read_records.bin");
+  const NodeSketchParams real = store->params();
+  SplitMix64 rng(13);
+  const uint64_t max_index = NumPossibleEdges(real.num_nodes);
+  for (NodeId node = 0; node < real.num_nodes; node += 5) {
+    store->MergeDelta(node, SketchOf(real, {rng.NextBelow(max_index)}));
+  }
+  const SketchArena capture = store->Capture();
+  const size_t record = capture.record_bytes();
+  for (const auto& [lo, hi] : {std::pair<uint64_t, uint64_t>{0, 600},
+                               std::pair<uint64_t, uint64_t>{5, 431}}) {
+    std::vector<uint8_t> streamed;
+    int calls = 0;
+    ASSERT_TRUE(store
+                    ->ReadRecords(lo, hi,
+                                  [&](const uint8_t* records, size_t bytes) {
+                                    EXPECT_EQ(bytes % record, 0u);
+                                    streamed.insert(streamed.end(), records,
+                                                    records + bytes);
+                                    ++calls;
+                                    return Status::Ok();
+                                  })
+                    .ok());
+    ASSERT_EQ(streamed.size(), (hi - lo) * record);
+    EXPECT_EQ(0, std::memcmp(streamed.data(), capture.record(lo),
+                             streamed.size()))
+        << "[" << lo << ", " << hi << ")";
+    if (GetParam()) {
+      EXPECT_GT(calls, 1);  // Several bounded preads.
+    }
+  }
+  int calls = 0;
+  const Status s = store->ReadRecords(0, 600, [&](const uint8_t*, size_t) {
+    ++calls;
+    return Status::IoError("sink full");
+  });
+  EXPECT_EQ(s.code(), StatusCode::kIoError);
+  EXPECT_EQ(calls, 1);
+}
+
 TEST(InMemorySketchStoreTest, WritingASharedArenaAborts) {
   InMemorySketchStore store(MakeParams(4, 12));
   const SketchArena capture = store.Capture();

@@ -4,14 +4,23 @@
 // seqlock depends on the plan being exact (it pre-stages one buffer
 // per planned pull; an unplanned pull inside Refresh would fail the
 // refresh, a planned-but-skipped one would leak a stale stage).
+//
+// And the fold itself: through a seeded random sequence of shard
+// transitions, the incrementally refreshed merged snapshot must stay
+// bitwise equal to a cold-built cache and to the XOR of the live
+// shards' contents, without the cache ever writing the puller's bytes.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <deque>
+#include <map>
 #include <memory>
+#include <random>
 #include <vector>
 
 #include "core/graph_zeppelin.h"
 #include "core/snapshot_cache.h"
+#include "util/check.h"
 
 namespace gz {
 namespace {
@@ -75,9 +84,11 @@ class SnapshotCachePlanTest : public ::testing::Test {
     const Status s = cache_.Refresh(
         epoch, marks, /*total_updates=*/0, shards_[0]->sketch_params(),
         [this, &pulled](int shard, uint64_t lo, uint64_t hi,
-                        std::vector<uint8_t>* delta) {
+                        const uint8_t** data, size_t* size) {
           pulled.push_back(shard);
-          *delta = shards_[shard]->Snapshot().ExtractNodeRange(lo, hi);
+          delta_ = shards_[shard]->Snapshot().ExtractNodeRange(lo, hi);
+          *data = delta_.data();
+          *size = delta_.size();
           return Status::Ok();
         });
     ASSERT_TRUE(s.ok()) << s.ToString();
@@ -103,6 +114,7 @@ class SnapshotCachePlanTest : public ::testing::Test {
 
   std::vector<std::unique_ptr<GraphZeppelin>> shards_;
   SnapshotCache cache_{/*nodes_per_chunk=*/0};
+  std::vector<uint8_t> delta_;  // The puller's bytes, reused per pull.
 };
 
 TEST_F(SnapshotCachePlanTest, PlanPredictsPullsThroughCacheLifecycle) {
@@ -165,6 +177,143 @@ TEST_F(SnapshotCachePlanTest, InvalidatedCachePlansEveryShard) {
   EXPECT_EQ(plan, (std::vector<int>{0, 1, 2}));
   RefreshAndCheckPlan(1, marks);
   CheckMergedBitwise({0, 1, 2, 3});
+}
+
+// One shard of the randomized drill: its instance and the watermark a
+// coordinator would report for it.
+struct DrillShard {
+  std::unique_ptr<GraphZeppelin> gz;
+  ShardWatermark mark;
+};
+
+TEST(SnapshotCacheRandomTest, TransitionsStayBitwiseEqualToColdBuildAndXor) {
+  constexpr uint64_t kChunk = 7;  // Does not divide kNodes = 24.
+  constexpr uint64_t kChunks = (kNodes + kChunk - 1) / kChunk;
+  std::mt19937_64 rng(20261019);
+  std::map<int, DrillShard> live;
+  int next_id = 0;
+  const auto add_shard = [&]() -> DrillShard& {
+    DrillShard& shard = live[next_id++];
+    shard.gz = std::make_unique<GraphZeppelin>(Config());
+    GZ_CHECK_OK(shard.gz->Init());
+    return shard;
+  };
+  const auto ingest = [&](DrillShard* shard) {
+    const int count = 1 + static_cast<int>(rng() % 6);
+    for (int i = 0; i < count; ++i) {
+      const NodeId u = static_cast<NodeId>(rng() % kNodes);
+      NodeId v = static_cast<NodeId>(rng() % kNodes);
+      if (u == v) v = (v + 1) % kNodes;
+      shard->gz->Update({Edge(u, v), UpdateType::kInsert});
+    }
+    shard->gz->Flush();
+    shard->mark.num_updates = shard->gz->num_updates_ingested();
+  };
+  // Moves `from`'s content of [lo, hi) to `to`, as a migration does:
+  // content changes with no update-count change, so the delta sequence
+  // versions it.
+  const auto migrate = [](DrillShard* from, DrillShard* to, uint64_t lo,
+                          uint64_t hi) {
+    const std::vector<uint8_t> delta =
+        from->gz->Snapshot().ExtractNodeRange(lo, hi);
+    GZ_CHECK_OK(to->gz->MergeSerializedNodeRange(delta.data(), delta.size()));
+    GZ_CHECK_OK(
+        from->gz->MergeSerializedNodeRange(delta.data(), delta.size()));
+    ++to->mark.delta_seq;
+    ++from->mark.delta_seq;
+  };
+  for (int i = 0; i < 3; ++i) ingest(&add_shard());
+  const NodeSketchParams params = live.begin()->second.gz->sketch_params();
+
+  // The puller hands out bytes it owns and keeps every piece alive
+  // with a pristine copy, so the test sees any write the cache makes.
+  struct Handed {
+    std::vector<uint8_t> bytes;
+    std::vector<uint8_t> pristine;
+  };
+  std::deque<Handed> handed;
+  const SnapshotCache::RangePuller puller =
+      [&](int shard, uint64_t lo, uint64_t hi, const uint8_t** data,
+          size_t* size) {
+        Handed& h = handed.emplace_back();
+        h.bytes = live.at(shard).gz->Snapshot().ExtractNodeRange(lo, hi);
+        h.pristine = h.bytes;
+        *data = h.bytes.data();
+        *size = h.bytes.size();
+        return Status::Ok();
+      };
+
+  SnapshotCache cache(kChunk);
+  bool saw_moved = false, saw_unchanged = false, saw_vanished = false,
+       saw_new = false;
+  for (uint64_t epoch = 1; epoch <= 24; ++epoch) {
+    // Transitions: every live shard stays put, ingests, or migrates a
+    // random range to another live shard; sometimes one vanishes (its
+    // content migrated to a survivor or simply gone) and sometimes a
+    // new one joins, at the zero watermark or already ingesting.
+    if (epoch > 1) {
+      std::vector<int> ids;
+      for (const auto& [id, shard] : live) ids.push_back(id);
+      for (const int id : ids) {
+        switch (rng() % 3) {
+          case 0:
+            break;
+          case 1:
+            ingest(&live.at(id));
+            break;
+          default: {
+            const int to = ids[rng() % ids.size()];
+            if (to == id) break;
+            const uint64_t lo = rng() % kNodes;
+            const uint64_t hi = lo + 1 + rng() % (kNodes - lo);
+            migrate(&live.at(id), &live.at(to), lo, hi);
+          }
+        }
+      }
+      if (live.size() > 1 && rng() % 3 == 0) {
+        const auto gone = std::next(live.begin(), rng() % live.size());
+        if (rng() % 2 == 0) {
+          DrillShard& heir =
+              gone == live.begin() ? std::next(gone)->second
+                                   : live.begin()->second;
+          migrate(&gone->second, &heir, 0, kNodes);
+        }
+        live.erase(gone);
+        saw_vanished = true;
+      }
+      if (rng() % 3 == 0) {
+        DrillShard& fresh = add_shard();
+        if (rng() % 2 == 0) ingest(&fresh);
+        saw_new = true;
+      }
+    }
+    ShardWatermarks marks;
+    GraphSnapshot want = GraphSnapshot::Zero(params);
+    for (const auto& [id, shard] : live) {
+      marks.emplace(id, shard.mark);
+      ASSERT_TRUE(want.Merge(shard.gz->Snapshot()).ok());
+    }
+    const std::vector<int> plan = cache.PlannedPulls(epoch, marks);
+    if (cache.valid()) {
+      saw_moved |= !plan.empty();
+      saw_unchanged |= plan.size() < marks.size();
+    }
+    const uint64_t pulls_before = cache.range_pulls();
+    Status s = cache.Refresh(epoch, marks, want.num_updates(), params, puller);
+    ASSERT_TRUE(s.ok()) << s.ToString();
+    EXPECT_EQ(cache.range_pulls() - pulls_before, plan.size() * kChunks);
+    for (const Handed& h : handed) EXPECT_EQ(h.bytes, h.pristine);
+    handed.clear();
+    EXPECT_TRUE(cache.merged() == want) << "epoch " << epoch;
+
+    SnapshotCache cold(kChunk);
+    s = cold.Refresh(epoch, marks, want.num_updates(), params, puller);
+    ASSERT_TRUE(s.ok()) << s.ToString();
+    handed.clear();
+    EXPECT_TRUE(cold.merged() == cache.merged()) << "epoch " << epoch;
+  }
+  EXPECT_EQ(cache.cold_builds(), 1u);
+  EXPECT_TRUE(saw_moved && saw_unchanged && saw_vanished && saw_new);
 }
 
 }  // namespace
