@@ -2,15 +2,16 @@
 // linearity lets shards ingest disjoint stream partitions with zero
 // coordination; a query XORs shard snapshots node-wise.
 //
-// Three execution modes run per shard count: in-process shard
-// instances (routing + per-shard pipelines + in-place merge), real
-// gz_shard worker processes over socketpairs (the same routing, plus
-// socket framing, and a query-time aggregation of serialized
-// GraphSnapshot bytes), and listener-mode gz_shards dialed over
-// loopback TCP with an authenticated handshake — the full tcp://
-// transport column, so BENCH trajectories track the framing, checksum
-// AND network-stack overhead directly. Each process/tcp row also
-// reports the measured CRC32C throughput and the estimated share of
+// One coordinator (ShardCluster) runs every row; three shard
+// substrates, named by endpoint URI, run per shard count: ShardServer
+// threads in the bench process over socketpairs (thread:), real
+// gz_shard worker processes over socketpairs (local:), and
+// listener-mode gz_shards dialed over loopback TCP with an
+// authenticated handshake (tcp://). All three frame updates and
+// aggregate serialized GraphSnapshot bytes at query time, so the
+// columns isolate the process boundary and the network stack. Each
+// row also reports the measured CRC32C throughput and the estimated
+// share of
 // ingest wall time the v3 per-frame checksum costs over v2 framing
 // (v2 shipped the same bytes unchecksummed, so the delta is exactly
 // one CRC pass over the frame bytes on each side). GZ_BENCH_SHARDS_MAX
@@ -40,18 +41,18 @@
 namespace {
 
 using gz::ShardedGraphZeppelin;
-using Mode = ShardedGraphZeppelin::Mode;
 
-// The transport column: in-process, worker processes over socketpairs,
-// or listener-mode worker processes over loopback TCP (+ handshake).
-enum class BenchMode { kInProcess, kProcess, kProcessTcp };
+// The substrate column: server threads or worker processes over
+// socketpairs, or listener-mode worker processes over loopback TCP
+// (+ handshake).
+enum class BenchMode { kThread, kProcess, kProcessTcp };
 
 constexpr char kBenchSecret[] = "bench-secret";
 
 const char* BenchModeName(BenchMode mode) {
   switch (mode) {
-    case BenchMode::kInProcess:
-      return "in_process";
+    case BenchMode::kThread:
+      return "thread";
     case BenchMode::kProcess:
       return "process";
     default:
@@ -59,20 +60,25 @@ const char* BenchModeName(BenchMode mode) {
   }
 }
 
-Mode ExecMode(BenchMode mode) {
-  return mode == BenchMode::kInProcess ? Mode::kInProcess : Mode::kProcess;
+// Where a shard grown by an elastic op goes ("" = local:).
+std::string GrowEndpoint(BenchMode mode) {
+  return mode == BenchMode::kThread ? "thread:" : "";
 }
 
-// Stands up `shards` listener-mode gz_shards and returns options
-// dialing them (TCP mode), or leaves the options untouched.
+// Options placing `replicas` shard replicas (shards x replication
+// factor) on `mode`: thread: endpoints, local: children (the
+// default), or freshly started listener-mode gz_shards.
 gz::ShardClusterOptions OptionsFor(
-    BenchMode mode, int shards,
+    BenchMode mode, int replicas,
     std::vector<std::unique_ptr<gz::ListenerShard>>* listeners,
     gz::ShardClusterOptions options = {}) {
+  if (mode == BenchMode::kThread) {
+    options.shard_endpoints.assign(replicas, "thread:");
+  }
   if (mode != BenchMode::kProcessTcp) return options;
   options.auth_secret = kBenchSecret;
   GZ_CHECK_OK(gz::StartListenerShards(
-      gz::DefaultShardBinary(), shards, "/tmp", /*log_prefix=*/"",
+      gz::DefaultShardBinary(), replicas, "/tmp", /*log_prefix=*/"",
       options.auth_secret, listeners, &options.shard_endpoints));
   return options;
 }
@@ -107,7 +113,7 @@ int RunRebalanceBench(const gz::bench::Workload& w) {
   std::printf("[\n");
   bool first = true;
   for (const BenchMode mode :
-       {BenchMode::kInProcess, BenchMode::kProcess, BenchMode::kProcessTcp}) {
+       {BenchMode::kThread, BenchMode::kProcess, BenchMode::kProcessTcp}) {
     GraphZeppelinConfig base = bench::DefaultGzConfig();
     base.num_nodes = w.num_nodes;
     base.num_workers = 1;
@@ -116,7 +122,7 @@ int RunRebalanceBench(const gz::bench::Workload& w) {
         std::max<uint64_t>(1, w.num_nodes / 64);
     std::vector<std::unique_ptr<ListenerShard>> listeners;
     options = OptionsFor(mode, 2, &listeners, std::move(options));
-    ShardedGraphZeppelin sharded(base, 2, ExecMode(mode), options);
+    ShardedGraphZeppelin sharded(base, 2, options);
     GZ_CHECK_OK(sharded.Init());
 
     const std::vector<GraphUpdate>& updates = w.stream.updates;
@@ -139,7 +145,7 @@ int RunRebalanceBench(const gz::bench::Workload& w) {
 
     // Phase 2: split shard 0 under load.
     WallTimer split_timer;
-    Result<int> split = sharded.BeginSplitShard(0);
+    Result<int> split = sharded.BeginSplitShard(0, GrowEndpoint(mode));
     GZ_CHECK_MSG(split.ok(), split.status().ToString().c_str());
     while (sharded.migration_active()) {
       bursts_during_migration += feed_burst(&max_burst_migrating);
@@ -193,7 +199,8 @@ int RunReplicationBench(const gz::bench::Workload& w) {
   using namespace gz;
   std::printf("[\n");
   bool first = true;
-  for (const BenchMode mode : {BenchMode::kProcess, BenchMode::kProcessTcp}) {
+  for (const BenchMode mode :
+       {BenchMode::kThread, BenchMode::kProcess, BenchMode::kProcessTcp}) {
     GraphZeppelinConfig base = bench::DefaultGzConfig();
     base.num_nodes = w.num_nodes;
     base.num_workers = 1;
@@ -306,13 +313,12 @@ int main(int argc, char** argv) {
   for (int shards : {1, 2, 4, 8}) {
     if (shards > max_shards) continue;
     for (const BenchMode mode :
-         {BenchMode::kInProcess, BenchMode::kProcess,
-          BenchMode::kProcessTcp}) {
+         {BenchMode::kThread, BenchMode::kProcess, BenchMode::kProcessTcp}) {
       GraphZeppelinConfig base = bench::DefaultGzConfig();
       base.num_nodes = w.num_nodes;
       base.num_workers = 1;  // One worker per shard: shards ARE parallelism.
       std::vector<std::unique_ptr<ListenerShard>> listeners;
-      ShardedGraphZeppelin sharded(base, shards, ExecMode(mode),
+      ShardedGraphZeppelin sharded(base, shards,
                                    OptionsFor(mode, shards, &listeners));
       GZ_CHECK_OK(sharded.Init());
 
@@ -322,8 +328,8 @@ int main(int argc, char** argv) {
       const double ingest_seconds = timer.Seconds();
 
       // Query split: aggregation (shard snapshots -> one merged
-      // snapshot; in process mode this is the serialized-bytes fold
-      // over the sockets) vs the Boruvka solve on the result.
+      // snapshot: the serialized-bytes fold over the sockets) vs the
+      // Boruvka solve on the result.
       WallTimer agg_timer;
       GraphSnapshot merged = sharded.Snapshot();
       const double agg_seconds = agg_timer.Seconds();
@@ -336,17 +342,13 @@ int main(int argc, char** argv) {
         expect_components = r.num_components;
         have_expectation = true;
       } else {
-        // Mode and shard count are invisible in the result.
+        // Substrate and shard count are invisible in the result.
         GZ_CHECK(r.num_components == expect_components);
       }
 
-      // The v3 checksum's share of this row's ingest wall time (zero
-      // for in-process: no frames, no checksums).
+      // The v3 checksum's share of this row's ingest wall time.
       const double checksum_seconds =
-          mode == BenchMode::kInProcess
-              ? 0.0
-              : EstimatedChecksumSeconds(w.stream.updates.size(),
-                                         crc_bytes_per_sec);
+          EstimatedChecksumSeconds(w.stream.updates.size(), crc_bytes_per_sec);
       std::printf(
           "%s  {\"bench\": \"ext_sharded\", \"workload\": \"%s\",\n"
           "   \"shards\": %d, \"mode\": \"%s\",\n"

@@ -162,12 +162,15 @@ int main() {
     updates.reserve(edges.size());
     for (const Edge& e : edges) updates.push_back({e, UpdateType::kInsert});
 
-    // (a) Cache economics, in-process (no transport noise in the ratio).
+    // (a) Cache economics on thread: shards (no process or network
+    // stack in the ratio; the same coordinator and frames as (b)).
     double cold_s = 0, cached_s = 0, refold_s = 0;
     {
       GraphZeppelinConfig config = bench::DefaultGzConfig();
       config.num_nodes = n;
-      ShardedGraphZeppelin sharded(config, kShards);
+      ShardClusterOptions thread_opts;
+      thread_opts.shard_endpoints.assign(kShards, "thread:");
+      ShardedGraphZeppelin sharded(config, kShards, thread_opts);
       GZ_CHECK_OK(sharded.Init());
       sharded.Update(updates.data(), updates.size());
       sharded.Flush();

@@ -239,16 +239,9 @@ Status GraphZeppelin::MergeSerializedNodeRange(const uint8_t* data,
   if (!s.ok()) return s;
   Flush();
   store_->Unshare();
-  // The store's MergeDelta is the ingestion-path XOR; a migration delta
-  // folds in exactly like a worker's batch delta.
-  NodeSketch scratch(store_->params());
-  const size_t record = NodeSketch::SerializedSizeFor(store_->params());
-  const uint8_t* cursor = data + payload_offset;
-  for (uint64_t i = lo; i < hi; ++i) {
-    scratch.DeserializeFrom(cursor);
-    store_->MergeDelta(static_cast<NodeId>(i), scratch);
-    cursor += record;
-  }
+  // Records XOR straight into the store: a migration delta folds in
+  // exactly like a worker's batch delta, with no per-node sketch.
+  store_->MergeRecords(lo, hi, data + payload_offset);
   return Status::Ok();
 }
 

@@ -12,8 +12,8 @@
 namespace gz {
 namespace {
 
-// Read size of OnDiskSketchStore::Capture() and ReadRecords(), rounded
-// down to whole records.
+// Read/write size of OnDiskSketchStore::Capture(), ReadRecords() and
+// MergeRecords(), rounded down to whole records.
 constexpr size_t kReadChunkBytes = size_t{4} << 20;
 
 }  // namespace
@@ -58,6 +58,15 @@ Status InMemorySketchStore::ReadRecords(uint64_t lo, uint64_t hi,
   GZ_CHECK(lo <= hi && hi <= params_.num_nodes);
   if (lo == hi) return Status::Ok();
   return sink(arena_.record(lo), (hi - lo) * arena_.record_bytes());
+}
+
+void InMemorySketchStore::MergeRecords(uint64_t lo, uint64_t hi,
+                                       const uint8_t* records) {
+  GZ_CHECK(lo <= hi && hi <= params_.num_nodes);
+  GZ_CHECK_MSG(arena_.unique(), "writing a captured arena; Unshare() first");
+  if (lo == hi) return;
+  XorBytes(arena_.mutable_record(lo), records,
+           (hi - lo) * arena_.record_bytes());
 }
 
 size_t InMemorySketchStore::RamByteSize() const {
@@ -168,6 +177,22 @@ void OnDiskSketchStore::ReadRange(uint64_t lo, uint64_t hi, uint8_t* out) {
   bytes_read_ += total;
 }
 
+void OnDiskSketchStore::WriteRange(uint64_t lo, uint64_t hi,
+                                   const uint8_t* in) {
+  GZ_CHECK_MSG(fd_ >= 0, "Init() not called");
+  const size_t total = (hi - lo) * record_bytes_;
+  const size_t chunk = ChunkRecords() * record_bytes_;
+  const off_t base = static_cast<off_t>(lo * record_bytes_);
+  for (size_t done = 0; done < total;) {
+    const size_t want = std::min(chunk, total - done);
+    const ssize_t wrote =
+        ::pwrite(fd_, in + done, want, base + static_cast<off_t>(done));
+    GZ_CHECK_MSG(wrote > 0, "sketch store pwrite");
+    done += static_cast<size_t>(wrote);
+  }
+  bytes_written_ += total;
+}
+
 SketchArena OnDiskSketchStore::Capture() {
   SketchArena arena =
       SketchArena::Uninitialized(params_.num_nodes, record_bytes_);
@@ -187,6 +212,20 @@ Status OnDiskSketchStore::ReadRecords(uint64_t lo, uint64_t hi,
     if (!s.ok()) return s;
   }
   return Status::Ok();
+}
+
+void OnDiskSketchStore::MergeRecords(uint64_t lo, uint64_t hi,
+                                     const uint8_t* records) {
+  GZ_CHECK(lo <= hi && hi <= params_.num_nodes);
+  const uint64_t step = ChunkRecords();
+  std::vector<uint8_t> buf(std::min(hi - lo, step) * record_bytes_);
+  for (uint64_t first = lo; first < hi; first += step) {
+    const uint64_t last = std::min(hi, first + step);
+    const size_t bytes = (last - first) * record_bytes_;
+    ReadRange(first, last, buf.data());
+    XorBytes(buf.data(), records + (first - lo) * record_bytes_, bytes);
+    WriteRange(first, last, buf.data());
+  }
 }
 
 size_t OnDiskSketchStore::RamByteSize() const {

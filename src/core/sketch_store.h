@@ -14,9 +14,9 @@
 // Thread safety: MergeDelta/Load are safe to call concurrently from
 // many Graph Workers; stores lock per node. Following Section 5.1,
 // workers accumulate a batch into a private delta sketch and the store
-// only holds the lock for the XOR merge. Capture(), ReadRecords() and
-// Unshare() are called by the one thread that feeds the workers, while
-// they are idle.
+// only holds the lock for the XOR merge. Capture(), ReadRecords(),
+// MergeRecords() and Unshare() are called by the one thread that feeds
+// the workers, while they are idle.
 #ifndef GZ_CORE_SKETCH_STORE_H_
 #define GZ_CORE_SKETCH_STORE_H_
 
@@ -63,6 +63,15 @@ class SketchStore {
   virtual Status ReadRecords(uint64_t lo, uint64_t hi,
                              const RecordSink& sink) = 0;
 
+  // XORs nodes [lo, hi)'s serialized records (`records`, back to back)
+  // into the store: the write-side twin of ReadRecords, byte-identical
+  // to a per-node MergeDelta of the same records, with no per-node
+  // sketch. The RAM store XORs its arena slice in place, the disk store
+  // reads, XORs and writes back in ReadRecords' <= 4 MB pieces. Writers
+  // must be idle and the store unshared.
+  virtual void MergeRecords(uint64_t lo, uint64_t hi,
+                            const uint8_t* records) = 0;
+
   // Ensures no captured arena shares the bytes the store writes next,
   // cloning them if a capture is still alive. Called before anything
   // can write — in particular before a worker is handed a batch.
@@ -89,6 +98,8 @@ class InMemorySketchStore : public SketchStore {
   SketchArena Capture() override { return arena_; }
   Status ReadRecords(uint64_t lo, uint64_t hi,
                      const RecordSink& sink) override;
+  void MergeRecords(uint64_t lo, uint64_t hi,
+                    const uint8_t* records) override;
   void Unshare() override { arena_.MakeUnique(); }
   size_t RamByteSize() const override;
   size_t DiskByteSize() const override { return 0; }
@@ -114,6 +125,8 @@ class OnDiskSketchStore : public SketchStore {
   SketchArena Capture() override;
   Status ReadRecords(uint64_t lo, uint64_t hi,
                      const RecordSink& sink) override;
+  void MergeRecords(uint64_t lo, uint64_t hi,
+                    const uint8_t* records) override;
   size_t RamByteSize() const override;
   size_t DiskByteSize() const override;
 
@@ -123,7 +136,10 @@ class OnDiskSketchStore : public SketchStore {
  private:
   // Reads nodes [lo, hi)'s records into `out` in <= 4 MB preads.
   void ReadRange(uint64_t lo, uint64_t hi, uint8_t* out);
-  // Records per ReadRange() pread: 4 MB, rounded down to whole records.
+  // Writes `in` over nodes [lo, hi)'s records in <= 4 MB pwrites.
+  void WriteRange(uint64_t lo, uint64_t hi, const uint8_t* in);
+  // Records per ReadRange()/WriteRange() call: 4 MB, rounded down to
+  // whole records.
   uint64_t ChunkRecords() const;
 
   std::string path_;

@@ -30,8 +30,8 @@
 // pulled chunk is read once. Queries between watermarks are O(1) — they
 // never touch the ingest path.
 //
-// Not thread-safe; the owner (ShardCluster, ShardedGraphZeppelin,
-// QuerySession) serializes access like every other coordinator call.
+// Not thread-safe; the owner (ShardCluster, QuerySession) serializes
+// access like every other coordinator call.
 #ifndef GZ_CORE_SNAPSHOT_CACHE_H_
 #define GZ_CORE_SNAPSHOT_CACHE_H_
 
@@ -72,7 +72,7 @@ class SnapshotCache {
   // its next call or until Refresh() returns, and the cache only reads
   // them — so a puller can hand out a verified receive frame or a
   // reused buffer in place. The cache never cares where the bytes come
-  // from: a live RPC, an in-process extract, or a pre-staged frame.
+  // from: a live RPC, a local extract, or a pre-staged frame.
   using RangePuller =
       std::function<Status(int shard, uint64_t lo, uint64_t hi,
                            const uint8_t** data, size_t* size)>;

@@ -56,10 +56,12 @@ Status QuerySession::Connect() {
   for (const std::string& uri : options_.endpoints) {
     Result<ShardEndpoint> parsed = ParseShardEndpoint(uri);
     if (!parsed.ok()) return parsed.status();
-    if (parsed.value().local()) {
+    // local: and thread: shards are one writer session each, with no
+    // listener for a reader to dial.
+    if (parsed.value().kind != ShardEndpoint::Kind::kTcp) {
       return Status::InvalidArgument(
-          "query sessions dial listeners, not local: endpoints (" + uri +
-          ")");
+          "query sessions dial listeners, not " +
+          parsed.value().ToString() + " endpoints (" + uri + ")");
     }
     auto conn = std::make_unique<TcpShardTransport>(
         std::move(parsed).value(), options_.auth_secret,

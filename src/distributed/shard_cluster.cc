@@ -123,9 +123,9 @@ int ShardCluster::AllocateShardSlot(std::vector<ShardEndpoint> endpoints) {
 
 void ShardCluster::ReleaseLastShardSlot(int id) {
   // Full rollback of a just-allocated id whose spawn failed, so the id
-  // space stays in lockstep with the in-process mode (a burned id
-  // would make identical op sequences hand out different ids — and
-  // different tables — across the two modes).
+  // space stays dense (a burned id would make identical op sequences
+  // hand out different ids — and different tables — depending on
+  // whether a spawn failed along the way).
   GZ_CHECK(id == static_cast<int>(procs_.size()) - 1);
   procs_.pop_back();
   endpoints_.pop_back();
@@ -259,7 +259,7 @@ Status ShardCluster::SendUpdateFrames(int shard, int replica,
 Status ShardCluster::Update(const GraphUpdate* updates, size_t count) {
   if (!started_) return Status::FailedPrecondition("cluster not started");
   for (size_t i = 0; i < count; ++i) {
-    // Fail-fast parity with the in-process mode's API boundary: a
+    // Fail-fast parity with GraphZeppelin's API boundary: a
     // malformed edge already aborts inside ShardFor (EdgeToIndex), and
     // a garbage type byte must abort HERE rather than make a shard
     // drop the whole frame it rides in.

@@ -1,5 +1,8 @@
-// ShardCluster: the multi-process coordinator. Owns N gz_shard worker
-// processes (one GraphZeppelin each, same seed/geometry), routes update
+// ShardCluster: the sharded coordinator — the only one. Owns N shards
+// (one GraphZeppelin each, same seed/geometry) behind ShardTransports:
+// a ShardServer thread (thread:), a forked gz_shard (local:) or a
+// listener on another machine (tcp://), named per replica by endpoint
+// URI and driven through the same frames either way. Routes update
 // spans to them through a versioned slot table, aggregates query-time
 // snapshot replies with the GraphSnapshot merge algebra, and manages
 // shard lifecycle: spawn, health checks, checkpoints, orderly shutdown,
@@ -67,7 +70,8 @@ namespace gz {
 struct ShardClusterOptions {
   // Path of the gz_shard binary; empty = DefaultShardBinary().
   std::string shard_binary;
-  // Where each replica lives: "local:" (fork/exec, the default) or
+  // Where each replica lives: "local:" (fork/exec, the default),
+  // "thread:" (a ShardServer thread in this process) or
   // "tcp://host:port" (a running `gz_shard --listen`). Shard-major with
   // replication_factor consecutive entries per shard id —
   // [s0r0, s0r1, s1r0, s1r1, ...]; shorter than num_shards *
@@ -128,12 +132,11 @@ class ShardCluster {
   ShardCluster(const ShardCluster&) = delete;
   ShardCluster& operator=(const ShardCluster&) = delete;
 
-  // Spawns and configures every shard process (all replicas).
+  // Connects and configures every shard (all replicas).
   Status Start();
 
-  // Shard an update routes to under the current table; identical to the
-  // in-process router and to any external partitioner holding the same
-  // table.
+  // Shard an update routes to under the current table; identical to
+  // any external partitioner holding the same table.
   int ShardFor(const Edge& e) const {
     return RouteToShard(e, base_.num_nodes, table_);
   }
@@ -242,9 +245,10 @@ class ShardCluster {
   // Liveness per shard id: every replica's transport alive and
   // answering pings (removed ids report false).
   std::vector<bool> HealthCheck();
-  // Hard-stop for fault injection / fencing — SIGKILL for a local
-  // shard, connection abort for a tcp one (the listener drops its
-  // instance, the same state loss); updates keep buffering. Kills
+  // Hard-stop for fault injection / fencing — server shutdown + join
+  // for a thread shard, SIGKILL for a local one, connection abort for
+  // a tcp one (the listener drops its instance): the same state loss
+  // each time; updates keep buffering. Kills
   // every replica of the shard. With observed=false the coordinator
   // does NOT fence the shard — modeling a spontaneous crash it has not
   // detected yet, so tests can drive the paths that must self-fence on
@@ -343,7 +347,7 @@ class ShardCluster {
   std::string LogPath(int shard, int replica) const;
   GraphZeppelinConfig ShardConfigFor(int shard, int replica) const;
   // Transport for one replica from endpoints_[shard][replica]
-  // (local -> fork/exec, tcp -> connect).
+  // (thread -> server thread, local -> fork/exec, tcp -> connect).
   std::unique_ptr<ShardTransport> MakeTransportFor(int shard,
                                                    int replica) const;
   // "" = all local; otherwise a comma-separated endpoint list, at most
@@ -354,7 +358,7 @@ class ShardCluster {
   // its replicas' endpoints.
   int AllocateShardSlot(std::vector<ShardEndpoint> endpoints);
   // Rolls a just-allocated (still-last) id back out after a failed
-  // spawn, keeping id assignment in lockstep with the in-process mode.
+  // spawn, keeping the id space dense.
   void ReleaseLastShardSlot(int id);
   // Lowest-index replica of `shard` the coordinator has not fenced
   // (-1 if none). What the send paths target.

@@ -1,9 +1,11 @@
 // ShardEndpoint: where a shard lives, as a first-class value. The
-// coordinator no longer assumes every shard is a child it forked; an
-// endpoint names the substrate, and the Transport layer (see
-// shard_transport.h) turns it into a connected socket.
+// endpoint alone names the shard's substrate; the Transport layer (see
+// shard_transport.h) turns it into a connected socket, and one
+// coordinator (ShardCluster) drives every kind through the same frames.
 //
 // URI grammar:
+//   "thread:"             a ShardServer on a thread of the coordinator's
+//                         process, over a socketpair
 //   "local:"              fork/exec gz_shard over a socketpair (the
 //                         default; "" means the same)
 //   "tcp://host:port"     connect to a running `gz_shard --listen`
@@ -20,8 +22,9 @@ namespace gz {
 
 struct ShardEndpoint {
   enum class Kind {
-    kLocal,  // Fork/exec over a socketpair.
-    kTcp,    // TCP connect to a listener-mode gz_shard.
+    kLocal,   // Fork/exec over a socketpair.
+    kTcp,     // TCP connect to a listener-mode gz_shard.
+    kThread,  // ShardServer thread over a socketpair.
   };
 
   Kind kind = Kind::kLocal;
@@ -29,6 +32,11 @@ struct ShardEndpoint {
   uint16_t port = 0;   // kTcp only.
 
   static ShardEndpoint Local() { return ShardEndpoint{}; }
+  static ShardEndpoint Thread() {
+    ShardEndpoint e;
+    e.kind = Kind::kThread;
+    return e;
+  }
   static ShardEndpoint Tcp(std::string host, uint16_t port) {
     ShardEndpoint e;
     e.kind = Kind::kTcp;
@@ -37,9 +45,7 @@ struct ShardEndpoint {
     return e;
   }
 
-  bool local() const { return kind == Kind::kLocal; }
-
-  // Canonical URI form ("local:" or "tcp://host:port").
+  // Canonical URI form ("local:", "thread:" or "tcp://host:port").
   std::string ToString() const;
 
   friend bool operator==(const ShardEndpoint& a, const ShardEndpoint& b) {

@@ -879,9 +879,8 @@ RoutingTable TableWithShardAdded(const RoutingTable& table, int new_shard) {
   }
   while (own < target) {
     // Steal one slot from the current largest owner (ties: smallest
-    // id), taking its lowest-index slot — fully deterministic, so the
-    // in-process and process-backed coordinators derive identical
-    // tables.
+    // id), taking its lowest-index slot — fully deterministic, so any
+    // two parties applying the same ops derive identical tables.
     counts = OwnershipCounts(out, new_shard);
     int victim = -1, victim_count = -1;
     for (const auto& [id, n] : counts) {

@@ -4,6 +4,7 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
+#include <exception>
 
 #include <fcntl.h>
 #include <netdb.h>
@@ -16,6 +17,7 @@
 #include <unistd.h>
 
 #include "distributed/shard_process.h"
+#include "distributed/shard_server.h"
 #include "util/check.h"
 
 namespace gz {
@@ -34,11 +36,79 @@ Status ShardTransport::CallAck(ShardMessageType type, const void* payload,
 
 std::unique_ptr<ShardTransport> MakeShardTransport(
     const ShardEndpoint& endpoint, const ShardTransportOptions& options) {
-  if (endpoint.local()) {
-    return std::make_unique<ShardProcess>(options.binary, options.log_path,
-                                          options.auth_secret);
+  switch (endpoint.kind) {
+    case ShardEndpoint::Kind::kThread:
+      return std::make_unique<ThreadShardTransport>(options.auth_secret);
+    case ShardEndpoint::Kind::kLocal:
+      return std::make_unique<ShardProcess>(options.binary, options.log_path,
+                                            options.auth_secret);
+    case ShardEndpoint::Kind::kTcp:
+      break;
   }
   return std::make_unique<TcpShardTransport>(endpoint, options.auth_secret);
+}
+
+// ---- ThreadShardTransport -------------------------------------------------
+
+ThreadShardTransport::ThreadShardTransport(std::string auth_secret)
+    : auth_secret_(std::move(auth_secret)) {}
+
+ThreadShardTransport::~ThreadShardTransport() {
+  Terminate();
+  if (fd_ >= 0) ::close(fd_);
+}
+
+Status ThreadShardTransport::Connect() {
+  if (Alive()) {
+    return Status::FailedPrecondition("shard thread already serving");
+  }
+  Terminate();  // Joins a thread that left Serve() on its own.
+  if (fd_ >= 0) {
+    ::close(fd_);
+    fd_ = -1;
+  }
+  int sv[2];
+  // CLOEXEC on both ends: a gz_shard child forked later must not hold
+  // a copy that keeps this socket half-open after the thread stops.
+  if (::socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, sv) != 0) {
+    return Status::IoError(std::string("socketpair: ") +
+                           std::strerror(errno));
+  }
+  fd_ = sv[0];
+  server_fd_ = sv[1];
+  serving_ = true;
+  server_ = std::thread([this, server_fd = sv[1]] {
+    // The session's end status is the coordinator's to observe, on its
+    // own end of the socket: whatever ends Serve() — kShutdown, lost
+    // framing, Terminate(), an exception — the server end is shut down
+    // as a gz_shard exit would close it, so no coordinator read waits
+    // on a shard that is gone.
+    try {
+      (void)ShardServer(server_fd, auth_secret_).Serve();
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "thread shard: %s\n", e.what());
+    }
+    ::shutdown(server_fd, SHUT_RDWR);
+    serving_ = false;
+  });
+  Status s = ClientHandshake(fd_, auth_secret_);
+  if (!s.ok()) {
+    Terminate();
+    return s;
+  }
+  return Status::Ok();
+}
+
+void ThreadShardTransport::Terminate() {
+  // shutdown() wakes a server blocked in recv (EOF) or send (EPIPE),
+  // so the join never waits on the coordinator; data already queued
+  // toward the coordinator stays readable on fd_.
+  if (server_fd_ >= 0) ::shutdown(server_fd_, SHUT_RDWR);
+  if (server_.joinable()) server_.join();
+  if (server_fd_ >= 0) {
+    ::close(server_fd_);
+    server_fd_ = -1;
+  }
 }
 
 // ---- Child-process plumbing -----------------------------------------------
@@ -157,7 +227,7 @@ TcpShardTransport::TcpShardTransport(ShardEndpoint endpoint,
     : endpoint_(std::move(endpoint)),
       auth_secret_(std::move(auth_secret)),
       role_(role) {
-  GZ_CHECK(!endpoint_.local());
+  GZ_CHECK(endpoint_.kind == ShardEndpoint::Kind::kTcp);
 }
 
 TcpShardTransport::~TcpShardTransport() { Terminate(); }

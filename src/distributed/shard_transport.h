@@ -1,26 +1,30 @@
 // Transport abstraction under ShardCluster: one connected, authenticated
 // stream socket per shard, created from a ShardEndpoint. The cluster
-// sees only this interface — where the bytes go (a forked child over a
-// socketpair, a TCP listener on another machine) is the transport's
-// business, and the protocol state machines above never branch on it.
+// sees only this interface — where the bytes go (a ShardServer thread
+// or a forked child over a socketpair, a TCP listener on another
+// machine) is the transport's business, and the protocol state
+// machines above never branch on it. The endpoint URI is the only
+// thing that picks one (see shard_endpoint.h).
 //
-//   Connect()    establish the connection (fork/exec or TCP connect)
-//                and run the client half of the authenticated
-//                handshake. Re-callable after Terminate() — that is
-//                what RestartShard does.
-//   Alive()      the substrate still exists (child not reaped /
-//                connection open). Liveness of the *shard logic* is
-//                the cluster's health check (PING), not ours.
-//   Terminate()  hard-stop: SIGKILL + reap for a local child,
-//                connection abort for a TCP shard (the listener drops
-//                its instance and returns to accept — the same state
-//                loss a SIGKILL inflicts, recovered the same way:
-//                Connect() + checkpoint restore + replay).
+//   Connect()    establish the connection (thread start, fork/exec or
+//                TCP connect) and run the client half of the
+//                authenticated handshake. Re-callable after
+//                Terminate() — that is what RestartShard does.
+//   Alive()      the substrate still exists (thread serving / child
+//                not reaped / connection open). Liveness of the *shard
+//                logic* is the cluster's health check (PING), not ours.
+//   Terminate()  hard-stop: shutdown + join for a thread shard, SIGKILL
+//                + reap for a local child, connection abort for a TCP
+//                shard (the listener drops its instance and returns to
+//                accept). Each is the same state loss, recovered the
+//                same way: Connect() + checkpoint restore + replay.
 #ifndef GZ_DISTRIBUTED_SHARD_TRANSPORT_H_
 #define GZ_DISTRIBUTED_SHARD_TRANSPORT_H_
 
+#include <atomic>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <sys/types.h>
@@ -64,8 +68,9 @@ struct ShardTransportOptions {
   std::string auth_secret;  // Shared handshake secret ("" = open).
 };
 
-// Endpoint -> transport factory: local: -> ShardProcess (fork/exec,
-// see shard_process.h), tcp:// -> TcpShardTransport.
+// Endpoint -> transport factory: thread: -> ThreadShardTransport,
+// local: -> ShardProcess (fork/exec, see shard_process.h), tcp:// ->
+// TcpShardTransport.
 std::unique_ptr<ShardTransport> MakeShardTransport(
     const ShardEndpoint& endpoint, const ShardTransportOptions& options);
 
@@ -116,6 +121,35 @@ class TcpShardTransport : public ShardTransport {
   std::string auth_secret_;
   ShardSessionRole role_ = ShardSessionRole::kWriter;
   int fd_ = -1;
+};
+
+// The thread: transport. Connect() opens a socketpair and runs
+// ShardServer(fd, secret).Serve() on a thread of this process — the
+// server loop gz_shard --fd runs, minus the fork/exec — then
+// authenticates like every other transport. Terminate() shuts the
+// server's end down and joins the thread, so the shard's GraphZeppelin
+// is dropped exactly as a SIGKILLed child drops it; the coordinator's
+// end stays open so queued replies can be drained.
+class ThreadShardTransport : public ShardTransport {
+ public:
+  explicit ThreadShardTransport(std::string auth_secret);
+  ~ThreadShardTransport() override;
+  ThreadShardTransport(const ThreadShardTransport&) = delete;
+  ThreadShardTransport& operator=(const ThreadShardTransport&) = delete;
+
+  Status Connect() override;
+  // True while the server thread is serving.
+  bool Alive() override { return serving_.load(); }
+  void Terminate() override;
+  int fd() const override { return fd_; }
+  std::string Describe() const override { return "thread:"; }
+
+ private:
+  std::string auth_secret_;
+  std::atomic<bool> serving_{false};
+  int fd_ = -1;         // Coordinator end.
+  int server_fd_ = -1;  // ShardServer end, closed once the thread joins.
+  std::thread server_;  // Declared last: it reads the members above.
 };
 
 // Test/bench harness for listener-mode shards: fork/execs

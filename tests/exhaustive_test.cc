@@ -15,6 +15,7 @@
 #include "sketch/l0_standard.h"
 #include "sketch/node_sketch.h"
 #include "stream/stream_types.h"
+#include "tests/shard_substrate.h"
 
 namespace gz {
 namespace {
@@ -166,26 +167,25 @@ TEST(ExhaustiveTest, BridgesMatchNaiveOnAllFiveNodeGraphs) {
   }
 }
 
-// ---- Every graph, sharded, in both execution modes -----------------------
+// ---- Every graph, sharded, on both shard substrates ----------------------
 
-class ExhaustiveShardedTest
-    : public ::testing::TestWithParam<ShardedGraphZeppelin::Mode> {};
+class ExhaustiveShardedTest : public ::testing::TestWithParam<Substrate> {};
 
 TEST_P(ExhaustiveShardedTest, ShardedMatchesDsuOnAllFourNodeGraphs) {
   // 4 nodes, 6 possible edges: all 64 graphs through 3 shards. One
   // instance serves every mask — after each query the mask's edges are
   // inserted again, which XOR-cancels the sketch state back to the
-  // empty graph (linearity), so process mode spawns its worker
-  // processes once, not 64 times. The seed is fixed: both modes ingest
-  // identical update multisets, so their sketch states — and any
-  // sampling failures — are bitwise-identical by construction.
+  // empty graph (linearity), so the shards start once, not 64 times.
+  // The seed is fixed: both substrates ingest identical update
+  // multisets, so their sketch states — and any sampling failures —
+  // are bitwise-identical by construction.
   const uint64_t n = 4;
   GraphZeppelinConfig config;
   config.num_nodes = n;
   config.seed = 501;
   config.num_workers = 1;
   config.disk_dir = ::testing::TempDir();
-  ShardedGraphZeppelin sharded(config, 3, GetParam());
+  ShardedGraphZeppelin sharded(config, 3, OnSubstrate(GetParam(), 3));
   ASSERT_TRUE(sharded.Init().ok());
 
   for (uint32_t mask = 0; mask < 64; ++mask) {
@@ -216,12 +216,9 @@ TEST_P(ExhaustiveShardedTest, ShardedMatchesDsuOnAllFourNodeGraphs) {
 
 INSTANTIATE_TEST_SUITE_P(
     Modes, ExhaustiveShardedTest,
-    ::testing::Values(ShardedGraphZeppelin::Mode::kInProcess,
-                      ShardedGraphZeppelin::Mode::kProcess),
-    [](const ::testing::TestParamInfo<ShardedGraphZeppelin::Mode>& info) {
-      return info.param == ShardedGraphZeppelin::Mode::kInProcess
-                 ? "InProcess"
-                 : "Process";
+    ::testing::Values(Substrate::kThread, Substrate::kProcess),
+    [](const ::testing::TestParamInfo<Substrate>& info) {
+      return SubstrateName(info.param);
     });
 
 // Brute-force bipartiteness of the subgraph induced by each component.

@@ -1,10 +1,11 @@
 // Randomized resharding chaos suite: a seeded random schedule of
 // insert/delete updates interleaved with AddShard / RemoveShard /
-// SplitShard operations at random points, in ALL execution modes:
-// in-process shard instances, real gz_shard worker processes over
-// socketpairs, and worker processes attached over loopback TCP
+// SplitShard operations at random points, on ALL shard substrates:
+// ShardServer threads (thread:), real gz_shard worker processes over
+// socketpairs (local:), and worker processes attached over loopback TCP
 // (`gz_shard --listen` + auth secret) — the full listener-mode
-// transport under every resharding drill.
+// transport under every resharding drill. One coordinator drives all
+// three.
 //
 // The property under test is the tentpole claim of elastic resharding:
 // through ANY reshard schedule the stream never pauses (updates are fed
@@ -27,18 +28,11 @@
 #include "distributed/shard_transport.h"
 #include "distributed/sharded_graph_zeppelin.h"
 #include "stream/erdos_renyi_generator.h"
+#include "tests/shard_substrate.h"
 #include "util/status.h"
 
 namespace gz {
 namespace {
-
-using Mode = ShardedGraphZeppelin::Mode;
-
-// The execution substrate a schedule runs on; kProcessTcp is process
-// mode whose initial shards are listener-mode gz_shards dialed over
-// loopback TCP (elastic children spawn locally — a mixed cluster, the
-// harder case).
-enum class Substrate { kInProcess, kProcess, kProcessTcp };
 
 constexpr uint64_t kNumNodes = 96;
 constexpr int kMaxShards = 4;
@@ -83,10 +77,11 @@ std::vector<GraphUpdate> BuildChaosStream(uint64_t seed) {
 }
 
 // One reshard operation, chosen to steer the active count toward
-// `target_shards` while staying inside [1, kMaxShards]. Returns a
-// human-readable label for failure messages.
+// `target_shards` while staying inside [1, kMaxShards]; new shards go
+// to `endpoint`. Returns a human-readable label for failure messages.
 std::string RandomReshardOp(ShardedGraphZeppelin* sharded,
-                            std::mt19937_64* rng, int target_shards) {
+                            std::mt19937_64* rng, int target_shards,
+                            const std::string& endpoint) {
   const std::vector<int> active = sharded->ActiveShards();
   const int count = static_cast<int>(active.size());
   bool grow;
@@ -106,11 +101,11 @@ std::string RandomReshardOp(ShardedGraphZeppelin* sharded,
     // path. Flip between them.
     if (((*rng)() % 2) == 0) {
       const int source = active[(*rng)() % active.size()];
-      Result<int> id = sharded->BeginSplitShard(source);
+      Result<int> id = sharded->BeginSplitShard(source, endpoint);
       EXPECT_TRUE(id.ok()) << id.status().ToString();
       return "split(" + std::to_string(source) + ")";
     }
-    Result<int> id = sharded->AddShard();
+    Result<int> id = sharded->AddShard(endpoint);
     EXPECT_TRUE(id.ok()) << id.status().ToString();
     return "add -> " + std::to_string(id.ok() ? id.value() : -1);
   }
@@ -127,30 +122,24 @@ struct Schedule {
 };
 
 class ReshardChaosTest
-    : public ::testing::TestWithParam<std::tuple<Schedule, Substrate>> {};
+    : public ::testing::TestWithParam<std::tuple<Schedule, Substrate>> {
+};
 
 TEST_P(ReshardChaosTest, FoldedSnapshotBitwiseEqualsSingleInstance) {
   const auto [schedule, substrate] = GetParam();
-  const Mode mode = substrate == Substrate::kInProcess ? Mode::kInProcess
-                                                       : Mode::kProcess;
+  // A schedule runs on thread: or local: shards throughout, or (kTcp)
+  // starts on listener-mode gz_shards dialed over loopback TCP while
+  // elastic children spawn locally — a mixed cluster, the harder case.
+  const std::string grow_endpoint = SubstrateEndpoint(substrate);
   std::mt19937_64 rng(schedule.seed);
   const std::vector<GraphUpdate> updates = BuildChaosStream(schedule.seed);
   const GraphZeppelinConfig base = BaseConfig(schedule.seed + 5);
 
   ShardClusterOptions options;
   options.migrate_nodes_per_chunk = 12;  // Many pump steps per reshard.
-  std::vector<std::unique_ptr<ListenerShard>> listeners;
-  if (substrate == Substrate::kProcessTcp) {
-    options.auth_secret = "reshard-chaos-secret";
-    ASSERT_TRUE(StartListenerShards(DefaultShardBinary(),
-                                    schedule.start_shards,
-                                    ::testing::TempDir(),
-                                    ::testing::TempDir() + "/gz_reshard_l",
-                                    options.auth_secret, &listeners,
-                                    &options.shard_endpoints)
-                    .ok());
-  }
-  ShardedGraphZeppelin sharded(base, schedule.start_shards, mode, options);
+  SubstrateShards shards(substrate, "reshard-chaos-secret");
+  options = shards.Place(schedule.start_shards, std::move(options));
+  ShardedGraphZeppelin sharded(base, schedule.start_shards, options);
   ASSERT_TRUE(sharded.Init().ok());
 
   // Feed plan: the stream goes out in small bursts; reshard ops fire at
@@ -197,7 +186,8 @@ TEST_P(ReshardChaosTest, FoldedSnapshotBitwiseEqualsSingleInstance) {
       const int target = (ops_left > remaining_adjust)
                              ? (rng() % kMaxShards) + 1
                              : schedule.end_shards;
-      op_log.push_back(RandomReshardOp(&sharded, &rng, target));
+      op_log.push_back(
+          RandomReshardOp(&sharded, &rng, target, grow_endpoint));
       --ops_left;
       continue;
     }
@@ -224,7 +214,9 @@ TEST_P(ReshardChaosTest, FoldedSnapshotBitwiseEqualsSingleInstance) {
   EXPECT_EQ(got.component_of, want.component_of);
 }
 
-TEST(ReshardReplicationTest, ReconcileUnderALiveSplitStaysBitwise) {
+class ReshardReplicationTest : public ::testing::TestWithParam<Substrate> {};
+
+TEST_P(ReshardReplicationTest, ReconcileUnderALiveSplitStaysBitwise) {
   // Replication meets elasticity: at R=2, kill one replica of the
   // split SOURCE while its migration is mid-flight, reconcile it back
   // WITHOUT pausing the migration or the stream, finish the split, and
@@ -236,7 +228,7 @@ TEST(ReshardReplicationTest, ReconcileUnderALiveSplitStaysBitwise) {
   ShardClusterOptions options;
   options.replication_factor = 2;
   options.migrate_nodes_per_chunk = 12;
-  ShardCluster cluster(base, 2, options);
+  ShardCluster cluster(base, 2, OnSubstrate(GetParam(), 2, options));
   ASSERT_TRUE(cluster.Start().ok());
 
   const size_t burst = updates.size() / 30 + 1;
@@ -249,7 +241,9 @@ TEST(ReshardReplicationTest, ReconcileUnderALiveSplitStaysBitwise) {
   };
   for (int i = 0; i < 8; ++i) feed_burst();
 
-  Result<int> target = cluster.BeginSplitShard(0);
+  // Both replicas of the split target on the suite's substrate.
+  const std::string grow = SubstrateEndpoint(GetParam());
+  Result<int> target = cluster.BeginSplitShard(0, grow + "," + grow);
   ASSERT_TRUE(target.ok()) << target.status().ToString();
   ASSERT_TRUE(cluster.PumpMigration().ok());
   feed_burst();
@@ -295,6 +289,13 @@ TEST(ReshardReplicationTest, ReconcileUnderALiveSplitStaysBitwise) {
   ASSERT_TRUE(cluster.Shutdown().ok());
 }
 
+INSTANTIATE_TEST_SUITE_P(
+    Substrates, ReshardReplicationTest,
+    ::testing::Values(Substrate::kThread, Substrate::kProcess),
+    [](const ::testing::TestParamInfo<Substrate>& info) {
+      return SubstrateName(info.param);
+    });
+
 // Four N -> M transitions covering both corners of {1..4}, each on all
 // three substrates: 12 randomized schedules total.
 INSTANTIATE_TEST_SUITE_P(
@@ -302,17 +303,14 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(
         ::testing::Values(Schedule{1, 4, 17}, Schedule{4, 1, 29},
                           Schedule{2, 3, 43}, Schedule{3, 2, 59}),
-        ::testing::Values(Substrate::kInProcess, Substrate::kProcess,
-                          Substrate::kProcessTcp)),
+        ::testing::Values(Substrate::kThread, Substrate::kProcess,
+                          Substrate::kTcp)),
     [](const ::testing::TestParamInfo<std::tuple<Schedule, Substrate>>&
            info) {
       const Schedule& schedule = std::get<0>(info.param);
-      const Substrate substrate = std::get<1>(info.param);
       return "From" + std::to_string(schedule.start_shards) + "To" +
              std::to_string(schedule.end_shards) +
-             (substrate == Substrate::kInProcess  ? "InProcess"
-              : substrate == Substrate::kProcess ? "Process"
-                                                 : "ProcessTcp");
+             SubstrateName(std::get<1>(info.param));
     });
 
 }  // namespace

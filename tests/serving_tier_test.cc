@@ -31,12 +31,11 @@
 #include "distributed/shard_transport.h"
 #include "distributed/sharded_graph_zeppelin.h"
 #include "stream/erdos_renyi_generator.h"
+#include "tests/shard_substrate.h"
 #include "util/check.h"
 
 namespace gz {
 namespace {
-
-using Mode = ShardedGraphZeppelin::Mode;
 
 constexpr uint64_t kNumNodes = 96;
 constexpr char kSecret[] = "serving-tier-secret";
@@ -85,7 +84,7 @@ std::vector<GraphUpdate> BuildStream(uint64_t seed) {
 constexpr uint64_t kChunk = 16;
 constexpr uint64_t kChunksPerShard = (kNumNodes + kChunk - 1) / kChunk;
 
-class ServingTierModeTest : public ::testing::TestWithParam<Mode> {};
+class ServingTierModeTest : public ::testing::TestWithParam<Substrate> {};
 
 TEST_P(ServingTierModeTest, CachedSnapshotBitwiseEqualsFullFold) {
   // The acceptance pin: at every position along an ingest + reshard
@@ -94,7 +93,8 @@ TEST_P(ServingTierModeTest, CachedSnapshotBitwiseEqualsFullFold) {
   // answered with ZERO data pulls.
   ShardClusterOptions options;
   options.migrate_nodes_per_chunk = kChunk;
-  ShardedGraphZeppelin sharded(BaseConfig(21), 3, GetParam(), options);
+  ShardedGraphZeppelin sharded(BaseConfig(21), 3,
+                               OnSubstrate(GetParam(), 3, options));
   ASSERT_TRUE(sharded.Init().ok());
   const std::vector<GraphUpdate> updates = BuildStream(21);
   const size_t burst = updates.size() / 6 + 1;
@@ -126,12 +126,13 @@ TEST_P(ServingTierModeTest, CachedSnapshotBitwiseEqualsFullFold) {
   feed_burst();
   check_pinned("second burst");
 
-  Result<int> added = sharded.AddShard();
+  const std::string grow = SubstrateEndpoint(GetParam());
+  Result<int> added = sharded.AddShard(grow);
   ASSERT_TRUE(added.ok());
   feed_burst();
   check_pinned("after add");
 
-  ASSERT_TRUE(sharded.SplitShard(0).ok());
+  ASSERT_TRUE(sharded.SplitShard(0, grow).ok());
   feed_burst();
   check_pinned("after split");
 
@@ -146,7 +147,8 @@ TEST_P(ServingTierModeTest, DeltaRefreshPullsOnlyMovedShards) {
   // unmoved third shard contributes its cached content untouched.
   ShardClusterOptions options;
   options.migrate_nodes_per_chunk = kChunk;
-  ShardedGraphZeppelin sharded(BaseConfig(33), 3, GetParam(), options);
+  ShardedGraphZeppelin sharded(BaseConfig(33), 3,
+                               OnSubstrate(GetParam(), 3, options));
   ASSERT_TRUE(sharded.Init().ok());
   const std::vector<GraphUpdate> updates = BuildStream(33);
   sharded.Update(updates.data(), updates.size());
@@ -160,7 +162,7 @@ TEST_P(ServingTierModeTest, DeltaRefreshPullsOnlyMovedShards) {
   // A split with no interleaved ingest moves exactly two watermarks:
   // the source (its delta_seq advances per extracted chunk) and the
   // new target.
-  ASSERT_TRUE(sharded.SplitShard(0).ok());
+  ASSERT_TRUE(sharded.SplitShard(0, SubstrateEndpoint(GetParam())).ok());
   ASSERT_TRUE(sharded.CachedSnapshot(&cached).ok());
   EXPECT_EQ(sharded.snapshot_cache().range_pulls() - cold_pulls,
             2 * kChunksPerShard)
@@ -172,21 +174,23 @@ TEST_P(ServingTierModeTest, DeltaRefreshPullsOnlyMovedShards) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Modes, ServingTierModeTest,
-                         ::testing::Values(Mode::kInProcess, Mode::kProcess),
+                         ::testing::Values(Substrate::kThread,
+                                           Substrate::kProcess),
                          [](const auto& info) {
-                           return info.param == Mode::kInProcess
-                                      ? "InProcess"
-                                      : "Process";
+                           return SubstrateName(info.param);
                          });
 
-TEST(ServingTierFaultTest, CacheServesAtLastPositionWhileShardIsDown) {
+class ServingTierFaultTest : public ::testing::TestWithParam<Substrate> {};
+
+TEST_P(ServingTierFaultTest, CacheServesAtLastPositionWhileShardIsDown) {
   // Watermarks come from the coordinator's own durability bookkeeping,
   // so a FRESH cache answers with zero RPCs even while a shard is down;
   // a refresh that needs the dead shard fails with a precise error; a
   // restart (checkpoint restore + replay) makes the next refresh exact.
   ShardClusterOptions options;
   options.migrate_nodes_per_chunk = kChunk;
-  ShardCluster cluster(BaseConfig(55), 3, options);
+  ShardCluster cluster(BaseConfig(55), 3,
+                       OnSubstrate(GetParam(), 3, options));
   ASSERT_TRUE(cluster.Start().ok());
   const std::vector<GraphUpdate> updates = BuildStream(55);
   const size_t half = updates.size() / 2;
@@ -220,6 +224,27 @@ TEST(ServingTierFaultTest, CacheServesAtLastPositionWhileShardIsDown) {
   EXPECT_TRUE(*cached == full.value())
       << "post-restart refresh must fold replayed state exactly";
   ASSERT_TRUE(cluster.Shutdown().ok());
+}
+
+INSTANTIATE_TEST_SUITE_P(Substrates, ServingTierFaultTest,
+                         ::testing::Values(Substrate::kThread,
+                                           Substrate::kProcess),
+                         [](const auto& info) {
+                           return SubstrateName(info.param);
+                         });
+
+TEST(ServingTierSessionTest, ReaderRefusesThreadAndLocalEndpoints) {
+  // A thread: or local: shard is one writer session on a socketpair —
+  // there is no listener for a reader to dial. Connect() must refuse
+  // such an endpoint up front, naming it, rather than try to dial it.
+  for (const char* endpoint : {"thread:", "local:"}) {
+    QuerySessionOptions qo;
+    qo.endpoints = {endpoint};
+    QuerySession session(qo);
+    const Status s = session.Connect();
+    EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << endpoint;
+    EXPECT_NE(s.message().find(endpoint), std::string::npos) << s.ToString();
+  }
 }
 
 // ---- TCP serving tier -----------------------------------------------------
@@ -256,7 +281,7 @@ TEST_F(ServingTierTcpTest, ConcurrentReadersStayBitwiseExactThroughASplit) {
   options.auth_secret = kSecret;
   options.shard_endpoints = endpoints_;
   options.migrate_nodes_per_chunk = kChunk;
-  ShardedGraphZeppelin sharded(BaseConfig(77), 3, Mode::kProcess, options);
+  ShardedGraphZeppelin sharded(BaseConfig(77), 3, options);
   ASSERT_TRUE(sharded.Init().ok());
   // A fourth listener for the split target: the new shard must serve
   // readers too, so it gets a real endpoint rather than a local child.

@@ -3,12 +3,13 @@
 // injection (SIGKILL mid-stream, restart from checkpoint, replay) that
 // must be invisible in the final result.
 //
-// Every drill runs over BOTH transports: local (fork/exec children
-// over socketpairs) and loopback TCP (real `gz_shard --listen`
-// processes dialed by endpoint, with an auth secret) — the transport
-// must be invisible in every result too. A TCP "SIGKILL" is a
-// connection abort: the listener discards its instance and re-accepts,
-// the same state loss recovered the same way.
+// Every drill runs over all three transports: thread (ShardServer
+// threads over socketpairs), local (fork/exec children over
+// socketpairs) and loopback TCP (real `gz_shard --listen` processes
+// dialed by endpoint, with an auth secret) — the transport must be
+// invisible in every result too. A thread "SIGKILL" is a server
+// shutdown + join and a TCP one a connection abort: each discards the
+// shard's instance, the same state loss recovered the same way.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -20,6 +21,7 @@
 #include "distributed/shard_cluster.h"
 #include "distributed/shard_transport.h"
 #include "stream/erdos_renyi_generator.h"
+#include "tests/shard_substrate.h"
 #include "util/status.h"
 
 namespace gz {
@@ -34,40 +36,9 @@ GraphZeppelinConfig BaseConfig(uint64_t n, uint64_t seed) {
   return c;
 }
 
-enum class Transport { kLocal, kTcp };
-
-constexpr char kTestSecret[] = "cluster-test-secret";
-
-class ShardClusterTest : public ::testing::TestWithParam<Transport> {
+class ShardClusterTest : public ::testing::TestWithParam<Substrate> {
  protected:
-  // Options for an `num_shards`-shard cluster on the transport under
-  // test: local mode leaves `options` untouched; TCP mode stands up
-  // one listener-mode gz_shard per shard and points an endpoint at it.
-  ShardClusterOptions MakeOptions(int num_shards,
-                                  ShardClusterOptions options = {}) {
-    if (GetParam() == Transport::kTcp) {
-      options.auth_secret = kTestSecret;
-      GZ_CHECK_OK(StartListenerShards(
-          DefaultShardBinary(), num_shards, ::testing::TempDir(),
-          ::testing::TempDir() + "/gz_listener_", kTestSecret, &listeners_,
-          &options.shard_endpoints));
-    }
-    return options;
-  }
-
-  // One more listener (for AddShard-onto-a-new-machine drills). Harness
-  // failure aborts at the cause rather than surfacing as a confusing
-  // endpoint-parse error deep inside the drill.
-  std::string SpawnListener() {
-    std::vector<std::string> endpoints;
-    GZ_CHECK_OK(StartListenerShards(
-        DefaultShardBinary(), 1, ::testing::TempDir(),
-        ::testing::TempDir() + "/gz_listener_", kTestSecret, &listeners_,
-        &endpoints));
-    return endpoints.back();
-  }
-
-  std::vector<std::unique_ptr<ListenerShard>> listeners_;
+  SubstrateShards shards_{GetParam()};
 };
 
 // A long toggle stream over a fixed edge set: `reps` passes of inserts.
@@ -111,7 +82,7 @@ TEST_P(ShardClusterTest, MillionUpdatesAcrossThreeProcessesMatchBitwise) {
   ASSERT_GE(updates.size(), 1'000'000u);
 
   const GraphZeppelinConfig base = BaseConfig(n, 77);
-  ShardCluster cluster(base, 3, MakeOptions(3));
+  ShardCluster cluster(base, 3, shards_.Place(3));
   ASSERT_TRUE(cluster.Start().ok());
   // Feed in bursts, as a stream driver would.
   const size_t burst = 100'000;
@@ -149,7 +120,7 @@ TEST_P(ShardClusterTest, KillRestartFromCheckpointReplaysToBitwiseIdentical) {
   const size_t third = updates.size() / 3;
 
   const GraphZeppelinConfig base = BaseConfig(n, 91);
-  ShardCluster cluster(base, 3, MakeOptions(3));
+  ShardCluster cluster(base, 3, shards_.Place(3));
   ASSERT_TRUE(cluster.Start().ok());
 
   // Phase 1: first third, then checkpoint every shard.
@@ -207,7 +178,7 @@ TEST_P(ShardClusterTest, KillBeforeAnyCheckpointReplaysFromScratch) {
   const std::vector<GraphUpdate> updates = ToggleStream(edges, 1);
 
   const GraphZeppelinConfig base = BaseConfig(n, 17);
-  ShardCluster cluster(base, 3, MakeOptions(3));
+  ShardCluster cluster(base, 3, shards_.Place(3));
   ASSERT_TRUE(cluster.Start().ok());
   ASSERT_TRUE(cluster.Update(updates.data(), updates.size() / 2).ok());
   cluster.KillShard(2);
@@ -236,7 +207,7 @@ TEST_P(ShardClusterTest, RepeatedKillsOfDifferentShards) {
   const size_t chunk = updates.size() / 4;
 
   const GraphZeppelinConfig base = BaseConfig(n, 53);
-  ShardCluster cluster(base, 3, MakeOptions(3));
+  ShardCluster cluster(base, 3, shards_.Place(3));
   ASSERT_TRUE(cluster.Start().ok());
 
   ASSERT_TRUE(cluster.Update(updates.data(), chunk).ok());
@@ -281,7 +252,7 @@ TEST_P(ShardClusterTest, AutoCheckpointBoundsTheUnackedLogs) {
   const GraphZeppelinConfig base = BaseConfig(n, 23);
   ShardClusterOptions options;
   options.checkpoint_interval_updates = 256;
-  ShardCluster cluster(base, 3, MakeOptions(3, options));
+  ShardCluster cluster(base, 3, shards_.Place(3, options));
   ASSERT_TRUE(cluster.Start().ok());
   for (size_t off = 0; off < updates.size(); off += 100) {
     const size_t count = std::min<size_t>(100, updates.size() - off);
@@ -312,7 +283,7 @@ TEST_P(ShardClusterTest, UnwritableCheckpointDirFailsWithoutFencingShards) {
   GraphZeppelinConfig base = BaseConfig(n, 67);
   ShardClusterOptions options;
   options.checkpoint_dir = "/nonexistent-checkpoint-dir";
-  ShardCluster cluster(base, 3, MakeOptions(3, options));
+  ShardCluster cluster(base, 3, shards_.Place(3, options));
   ASSERT_TRUE(cluster.Start().ok());
   std::vector<GraphUpdate> updates;
   for (NodeId u = 0; u + 1 < 40; ++u) {
@@ -334,7 +305,7 @@ TEST_P(ShardClusterTest, UnwritableCheckpointDirFailsWithoutFencingShards) {
 
 TEST_P(ShardClusterTest, StatsReportPerShardStreamPositions) {
   const GraphZeppelinConfig base = BaseConfig(64, 3);
-  ShardCluster cluster(base, 3, MakeOptions(3));
+  ShardCluster cluster(base, 3, shards_.Place(3));
   ASSERT_TRUE(cluster.Start().ok());
   std::vector<GraphUpdate> updates;
   for (NodeId u = 0; u + 1 < 40; ++u) {
@@ -370,7 +341,7 @@ TEST_P(ShardClusterTest, RemoveShardUnderLoadMatchesBitwise) {
   const GraphZeppelinConfig base = BaseConfig(n, 111);
   ShardClusterOptions options;
   options.migrate_nodes_per_chunk = 16;  // Several pump steps.
-  ShardCluster cluster(base, 3, MakeOptions(3, options));
+  ShardCluster cluster(base, 3, shards_.Place(3, options));
   ASSERT_TRUE(cluster.Start().ok());
 
   const size_t burst = updates.size() / 24 + 1;
@@ -415,20 +386,20 @@ TEST_P(ShardClusterTest, AddAndSplitShardsUnderLoadMatchBitwise) {
   const GraphZeppelinConfig base = BaseConfig(n, 131);
   ShardClusterOptions options;
   options.migrate_nodes_per_chunk = 16;
-  ShardCluster cluster(base, 1, MakeOptions(1, options));
+  ShardCluster cluster(base, 1, shards_.Place(1, options));
   ASSERT_TRUE(cluster.Start().ok());
 
   const size_t third = updates.size() / 3;
   ASSERT_TRUE(cluster.Update(updates.data(), third).ok());
 
   // 1 -> 2 by AddShard: instant (an empty shard is the XOR identity).
-  Result<int> added = cluster.AddShard();
+  Result<int> added = cluster.AddShard(SubstrateEndpoint(GetParam()));
   ASSERT_TRUE(added.ok()) << added.status().ToString();
   EXPECT_EQ(added.value(), 1);
   ASSERT_TRUE(cluster.Update(updates.data() + third, third).ok());
 
   // 2 -> 3 by splitting shard 0, feeding between pump steps.
-  Result<int> split = cluster.BeginSplitShard(0);
+  Result<int> split = cluster.BeginSplitShard(0, SubstrateEndpoint(GetParam()));
   ASSERT_TRUE(split.ok()) << split.status().ToString();
   EXPECT_EQ(split.value(), 2);
   size_t fed = 2 * third;
@@ -474,7 +445,7 @@ TEST_P(ShardClusterTest, KillSourceMidMigrationRestartReissueConverges) {
   const GraphZeppelinConfig base = BaseConfig(n, 151);
   ShardClusterOptions options;
   options.migrate_nodes_per_chunk = 16;
-  ShardCluster cluster(base, 3, MakeOptions(3, options));
+  ShardCluster cluster(base, 3, shards_.Place(3, options));
   ASSERT_TRUE(cluster.Start().ok());
 
   ASSERT_TRUE(cluster.Update(updates.data(), quarter).ok());
@@ -521,7 +492,7 @@ TEST_P(ShardClusterTest, KillTargetMidMigrationRestartConverges) {
   const GraphZeppelinConfig base = BaseConfig(n, 171);
   ShardClusterOptions options;
   options.migrate_nodes_per_chunk = 16;
-  ShardCluster cluster(base, 3, MakeOptions(3, options));
+  ShardCluster cluster(base, 3, shards_.Place(3, options));
   ASSERT_TRUE(cluster.Start().ok());
 
   ASSERT_TRUE(cluster.Update(updates.data(), third).ok());
@@ -570,11 +541,11 @@ TEST_P(ShardClusterTest, TargetDiesUndetectedMidSplitStillConverges) {
   const GraphZeppelinConfig base = BaseConfig(n, 211);
   ShardClusterOptions options;
   options.migrate_nodes_per_chunk = 16;
-  ShardCluster cluster(base, 2, MakeOptions(2, options));
+  ShardCluster cluster(base, 2, shards_.Place(2, options));
   ASSERT_TRUE(cluster.Start().ok());
   ASSERT_TRUE(cluster.Update(updates.data(), half).ok());
 
-  Result<int> split = cluster.BeginSplitShard(0);
+  Result<int> split = cluster.BeginSplitShard(0, SubstrateEndpoint(GetParam()));
   ASSERT_TRUE(split.ok()) << split.status().ToString();
   ASSERT_TRUE(cluster.PumpMigration().ok());
   cluster.KillShard(split.value(), /*observed=*/false);
@@ -611,7 +582,7 @@ TEST_P(ShardClusterTest, CheckpointMidMigrationCoversDeltasExactly) {
   const GraphZeppelinConfig base = BaseConfig(n, 191);
   ShardClusterOptions options;
   options.migrate_nodes_per_chunk = 16;
-  ShardCluster cluster(base, 2, MakeOptions(2, options));
+  ShardCluster cluster(base, 2, shards_.Place(2, options));
   ASSERT_TRUE(cluster.Start().ok());
   ASSERT_TRUE(cluster.Update(updates.data(), half).ok());
 
@@ -645,7 +616,7 @@ TEST_P(ShardClusterTest, DiskBackedShardProcessesWork) {
   GraphZeppelinConfig base = BaseConfig(64, 7);
   base.storage = GraphZeppelinConfig::Storage::kDisk;
   base.buffering = GraphZeppelinConfig::Buffering::kGutterTree;
-  ShardCluster cluster(base, 2, MakeOptions(2));
+  ShardCluster cluster(base, 2, shards_.Place(2));
   ASSERT_TRUE(cluster.Start().ok());
   std::vector<GraphUpdate> updates;
   for (NodeId u = 0; u + 1 < 32; ++u) {
@@ -675,14 +646,14 @@ TEST_P(ShardClusterTest, AddShardOnTcpEndpointGrowsAcrossMachines) {
   const size_t half = updates.size() / 2;
 
   const GraphZeppelinConfig base = BaseConfig(n, 231);
-  ShardClusterOptions options = MakeOptions(2);
+  ShardClusterOptions options = shards_.Place(2);
   // TCP endpoints need the handshake secret even in local base mode.
-  options.auth_secret = kTestSecret;
+  options.auth_secret = shards_.secret();
   ShardCluster cluster(base, 2, options);
   ASSERT_TRUE(cluster.Start().ok());
   ASSERT_TRUE(cluster.Update(updates.data(), half).ok());
 
-  Result<int> added = cluster.AddShard(SpawnListener());
+  Result<int> added = cluster.AddShard(shards_.SpawnListener());
   ASSERT_TRUE(added.ok()) << added.status().ToString();
   ASSERT_TRUE(cluster.Update(updates.data() + half, updates.size() - half)
                   .ok());
@@ -727,9 +698,8 @@ TEST_P(ShardClusterTest, ReplicaKillDrillRepairsWithZeroStreamPause) {
   ShardClusterOptions options;
   options.replication_factor = 2;
   options.migrate_nodes_per_chunk = 16;
-  // 3 shards x 2 replicas: the TCP variant needs one listener per
-  // REPLICA (endpoints are shard-major, replicas consecutive).
-  ShardCluster cluster(base, 3, MakeOptions(3 * 2, options));
+  // 3 shards x 2 replicas (on TCP, one listener per replica).
+  ShardCluster cluster(base, 3, shards_.Place(3, options));
   ASSERT_TRUE(cluster.Start().ok());
   EXPECT_EQ(cluster.replication(), 2);
 
@@ -793,7 +763,7 @@ TEST_P(ShardClusterTest, PeriodicReconcileRejoinsAKilledReplica) {
   options.replication_factor = 2;
   options.reconcile_interval_updates = 200;
   options.migrate_nodes_per_chunk = 16;
-  ShardCluster cluster(base, 2, MakeOptions(2 * 2, options));
+  ShardCluster cluster(base, 2, shards_.Place(2, options));
   ASSERT_TRUE(cluster.Start().ok());
 
   const size_t quarter = updates.size() / 4;
@@ -837,7 +807,7 @@ TEST_P(ShardClusterTest, ReconcileDetectsAndRepairsInjectedDivergence) {
   ShardClusterOptions options;
   options.replication_factor = 2;
   options.migrate_nodes_per_chunk = 16;
-  ShardCluster cluster(base, 2, MakeOptions(2 * 2, options));
+  ShardCluster cluster(base, 2, shards_.Place(2, options));
   ASSERT_TRUE(cluster.Start().ok());
   ASSERT_TRUE(cluster.Update(updates.data(), updates.size()).ok());
 
@@ -879,7 +849,7 @@ TEST_P(ShardClusterTest, ReconcileIsANoOpOnAHealthyUnreplicatedCluster) {
   // replica against — a healthy cluster reconciles clean with zero
   // repairs and an unchanged fold.
   const GraphZeppelinConfig base = BaseConfig(64, 271);
-  ShardCluster cluster(base, 2, MakeOptions(2));
+  ShardCluster cluster(base, 2, shards_.Place(2));
   ASSERT_TRUE(cluster.Start().ok());
   std::vector<GraphUpdate> updates;
   for (NodeId u = 0; u + 1 < 40; ++u) {
@@ -896,10 +866,11 @@ TEST_P(ShardClusterTest, ReconcileIsANoOpOnAHealthyUnreplicatedCluster) {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    Transports, ShardClusterTest,
-    ::testing::Values(Transport::kLocal, Transport::kTcp),
-    [](const ::testing::TestParamInfo<Transport>& info) {
-      return info.param == Transport::kLocal ? "Local" : "Tcp";
+    Substrates, ShardClusterTest,
+    ::testing::Values(Substrate::kThread, Substrate::kProcess,
+                      Substrate::kTcp),
+    [](const ::testing::TestParamInfo<Substrate>& info) {
+      return SubstrateName(info.param);
     });
 
 TEST(ShardClusterTcpTest, WrongAuthSecretFailsStartWithoutCrash) {

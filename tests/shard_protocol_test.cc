@@ -1022,13 +1022,18 @@ TEST_F(ShardServerFixture, HandshakeFrameMidSessionIsErrorNotCrash) {
 TEST(ShardEndpointTest, ParsesTheGrammar) {
   Result<ShardEndpoint> local = ParseShardEndpoint("local:");
   ASSERT_TRUE(local.ok());
-  EXPECT_TRUE(local.value().local());
+  EXPECT_EQ(local.value().kind, ShardEndpoint::Kind::kLocal);
   EXPECT_EQ(local.value().ToString(), "local:");
   EXPECT_TRUE(ParseShardEndpoint("").ok());  // Unset slot = local.
 
+  Result<ShardEndpoint> thread = ParseShardEndpoint("thread:");
+  ASSERT_TRUE(thread.ok());
+  EXPECT_EQ(thread.value().kind, ShardEndpoint::Kind::kThread);
+  EXPECT_EQ(thread.value().ToString(), "thread:");
+
   Result<ShardEndpoint> tcp = ParseShardEndpoint("tcp://10.0.0.7:9001");
   ASSERT_TRUE(tcp.ok());
-  EXPECT_FALSE(tcp.value().local());
+  EXPECT_EQ(tcp.value().kind, ShardEndpoint::Kind::kTcp);
   EXPECT_EQ(tcp.value().host, "10.0.0.7");
   EXPECT_EQ(tcp.value().port, 9001);
   EXPECT_EQ(tcp.value().ToString(), "tcp://10.0.0.7:9001");

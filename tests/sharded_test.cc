@@ -1,8 +1,9 @@
 // Tests for sharded (distributed-style) ingestion: linearity makes
-// shard-merged queries exact. Every correctness case runs in both
-// execution modes — in-process shard instances and real gz_shard
-// worker processes fed over sockets — against one shared ground-truth
-// check, since the two modes must be indistinguishable above the API.
+// shard-merged queries exact. Every correctness case runs on two shard
+// substrates — ShardServer threads (thread:) and real gz_shard worker
+// processes (local:), both fed over sockets by the one coordinator —
+// against one shared ground-truth check, since the substrate must be
+// invisible above the API.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -14,11 +15,10 @@
 #include "distributed/sharded_graph_zeppelin.h"
 #include "stream/erdos_renyi_generator.h"
 #include "stream/stream_transform.h"
+#include "tests/shard_substrate.h"
 
 namespace gz {
 namespace {
-
-using Mode = ShardedGraphZeppelin::Mode;
 
 GraphZeppelinConfig BaseConfig(uint64_t n, uint64_t seed) {
   GraphZeppelinConfig c;
@@ -27,23 +27,6 @@ GraphZeppelinConfig BaseConfig(uint64_t n, uint64_t seed) {
   c.num_workers = 2;
   c.disk_dir = ::testing::TempDir();
   return c;
-}
-
-std::string ModeName(Mode mode) {
-  return mode == Mode::kInProcess ? "InProcess" : "Process";
-}
-
-TEST(ShardedTest, InProcessModeRefusesRemoteEndpoints) {
-  // In-process shards have nowhere remote to live: an endpoint list
-  // naming tcp:// shards must fail Init() loudly, never silently run
-  // everything locally while the user's listeners sit undailed.
-  ShardClusterOptions options;
-  options.shard_endpoints = {"local:", "tcp://far-away:9001"};
-  ShardedGraphZeppelin sharded(BaseConfig(64, 9), 2,
-                               ShardedGraphZeppelin::Mode::kInProcess,
-                               options);
-  const Status s = sharded.Init();
-  EXPECT_EQ(s.code(), StatusCode::kFailedPrecondition);
 }
 
 TEST(ShardedTest, ShardRoutingDeterministicAndBounded) {
@@ -74,61 +57,67 @@ TEST(ShardedTest, RoutingRoughlyBalanced) {
 
 TEST(ShardedTest, RoutingIdenticalAcrossModes) {
   // An external stream partitioner must be able to pre-split a stream
-  // for either deployment; the hash may not depend on the mode.
-  ShardedGraphZeppelin in_process(BaseConfig(128, 5), 5, Mode::kInProcess);
-  ShardedGraphZeppelin process(BaseConfig(128, 5), 5, Mode::kProcess);
+  // for either deployment; the hash may not depend on the substrate.
+  ShardedGraphZeppelin thread(BaseConfig(128, 5), 5,
+                              OnSubstrate(Substrate::kThread, 5));
+  ShardedGraphZeppelin process(BaseConfig(128, 5), 5);
   for (NodeId u = 0; u < 60; ++u) {
     const Edge e(u, static_cast<NodeId>(u + 13));
-    EXPECT_EQ(in_process.ShardFor(e), process.ShardFor(e));
+    EXPECT_EQ(thread.ShardFor(e), process.ShardFor(e));
   }
 }
 
 TEST(ShardedTest, RoutingIsPureFunctionOfTableAcrossModesAndReshards) {
   // The regression the epoch table exists for: routing must be a pure
   // function of (edge, table) that coordinator, shards and any
-  // external partitioner share — in both modes, through elastic
-  // reshard operations, with no hidden mode- or history-dependent
+  // external partitioner share — on every substrate, through elastic
+  // reshard operations, with no hidden substrate- or history-dependent
   // state. Both facades run the same reshard schedule; after every
   // step their tables are identical and every edge routes identically
   // (and identically to the raw pure function).
   const uint64_t n = 128;
-  ShardedGraphZeppelin in_process(BaseConfig(n, 6), 2, Mode::kInProcess);
-  ShardedGraphZeppelin process(BaseConfig(n, 6), 2, Mode::kProcess);
-  ASSERT_TRUE(in_process.Init().ok());
+  const std::string on_thread = SubstrateEndpoint(Substrate::kThread);
+  ShardedGraphZeppelin thread(BaseConfig(n, 6), 2,
+                              OnSubstrate(Substrate::kThread, 2));
+  ShardedGraphZeppelin process(BaseConfig(n, 6), 2);
+  ASSERT_TRUE(thread.Init().ok());
   ASSERT_TRUE(process.Init().ok());
 
   auto check_agreement = [&](const char* step) {
-    ASSERT_TRUE(in_process.routing_table() == process.routing_table())
-        << step;
+    ASSERT_TRUE(thread.routing_table() == process.routing_table()) << step;
     for (NodeId u = 0; u < 80; ++u) {
       const Edge e(u, static_cast<NodeId>(u + 11));
-      const int expect =
-          RouteToShard(e, n, in_process.routing_table());
-      EXPECT_EQ(in_process.ShardFor(e), expect) << step;
+      const int expect = RouteToShard(e, n, thread.routing_table());
+      EXPECT_EQ(thread.ShardFor(e), expect) << step;
       EXPECT_EQ(process.ShardFor(e), expect) << step;
     }
   };
   check_agreement("initial");
 
-  ASSERT_TRUE(in_process.AddShard().ok());
+  ASSERT_TRUE(thread.AddShard(on_thread).ok());
   ASSERT_TRUE(process.AddShard().ok());
   check_agreement("after add");
 
-  ASSERT_TRUE(in_process.SplitShard(0).ok());
+  ASSERT_TRUE(thread.SplitShard(0, on_thread).ok());
   ASSERT_TRUE(process.SplitShard(0).ok());
   check_agreement("after split");
 
-  ASSERT_TRUE(in_process.RemoveShard(1).ok());
+  ASSERT_TRUE(thread.RemoveShard(1).ok());
   ASSERT_TRUE(process.RemoveShard(1).ok());
   check_agreement("after remove");
 }
 
-// ---- Dual-mode matrix -----------------------------------------------------
+// ---- Substrate matrix ------------------------------------------------------
 
-class ShardedModeTest : public ::testing::TestWithParam<Mode> {};
+class ShardedModeTest : public ::testing::TestWithParam<Substrate> {
+ protected:
+  ShardClusterOptions Options(int num_shards) {
+    return OnSubstrate(GetParam(), num_shards);
+  }
+};
 
 TEST_P(ShardedModeTest, ElasticOpsBeforeInitAreErrorsNotCrashes) {
-  ShardedGraphZeppelin sharded(BaseConfig(32, 9), 2, GetParam());
+  ShardedGraphZeppelin sharded(BaseConfig(32, 9), 2, Options(2));
   EXPECT_EQ(sharded.AddShard().status().code(),
             StatusCode::kFailedPrecondition);
   EXPECT_EQ(sharded.BeginRemoveShard(0).code(),
@@ -139,12 +128,12 @@ TEST_P(ShardedModeTest, ElasticOpsBeforeInitAreErrorsNotCrashes) {
             StatusCode::kFailedPrecondition);
   // And Init() afterwards still brings the facade up normally.
   ASSERT_TRUE(sharded.Init().ok());
-  ASSERT_TRUE(sharded.AddShard().ok());
+  ASSERT_TRUE(sharded.AddShard(SubstrateEndpoint(GetParam())).ok());
 }
 
 TEST_P(ShardedModeTest, SingleShardMatchesPlainInstance) {
   const uint64_t n = 32;
-  ShardedGraphZeppelin sharded(BaseConfig(n, 3), 1, GetParam());
+  ShardedGraphZeppelin sharded(BaseConfig(n, 3), 1, Options(1));
   ASSERT_TRUE(sharded.Init().ok());
   GraphZeppelin plain(BaseConfig(n, 3));
   ASSERT_TRUE(plain.Init().ok());
@@ -162,7 +151,7 @@ TEST_P(ShardedModeTest, SingleShardMatchesPlainInstance) {
 }
 
 TEST_P(ShardedModeTest, UpdateCountsSumToTotal) {
-  ShardedGraphZeppelin sharded(BaseConfig(64, 4), 3, GetParam());
+  ShardedGraphZeppelin sharded(BaseConfig(64, 4), 3, Options(3));
   ASSERT_TRUE(sharded.Init().ok());
   const int total = 200;
   int ingested = 0;
@@ -185,7 +174,7 @@ TEST_P(ShardedModeTest, ForestDecompositionOverShardedSnapshot) {
   const uint64_t n = 16;
   GraphZeppelinConfig base = BaseConfig(n, 8);
   base.rounds = RoundsForForests(n, 2);
-  ShardedGraphZeppelin sharded(base, 3, GetParam());
+  ShardedGraphZeppelin sharded(base, 3, Options(3));
   ASSERT_TRUE(sharded.Init().ok());
 
   // Two triangles joined by one bridge.
@@ -207,10 +196,9 @@ TEST_P(ShardedModeTest, ForestDecompositionOverShardedSnapshot) {
 }
 
 TEST_P(ShardedModeTest, SnapshotFoldMatchesSingleInstanceBitwise) {
-  // The coordinator's fold — in place for in-process shards, via
-  // serialized snapshot frames for worker processes — must produce
+  // The coordinator's fold of serialized snapshot frames must produce
   // exactly the snapshot a single instance ingesting the whole stream
-  // would: the shard partition of the stream (and the transport) is
+  // would: the shard partition of the stream (and the substrate) is
   // invisible after aggregation.
   const uint64_t n = 48;
   ErdosRenyiParams ep;
@@ -219,7 +207,7 @@ TEST_P(ShardedModeTest, SnapshotFoldMatchesSingleInstanceBitwise) {
   ep.seed = 6;
   const EdgeList edges = ErdosRenyiGenerator(ep).Generate();
 
-  ShardedGraphZeppelin sharded(BaseConfig(n, 31), 3, GetParam());
+  ShardedGraphZeppelin sharded(BaseConfig(n, 31), 3, Options(3));
   ASSERT_TRUE(sharded.Init().ok());
   GraphZeppelin single(BaseConfig(n, 31));
   ASSERT_TRUE(single.Init().ok());
@@ -236,11 +224,11 @@ TEST_P(ShardedModeTest, SnapshotFoldMatchesSingleInstanceBitwise) {
 
 TEST_P(ShardedModeTest, DiskShardsDoNotCollide) {
   // Several disk-backed shards share a seed; per-shard instance tags
-  // (and, in process mode, per-process pids) must keep their backing
-  // files separate.
+  // (and, for processes, per-process pids) must keep their backing
+  // files separate — thread shards share one pid.
   GraphZeppelinConfig base = BaseConfig(32, 7);
   base.storage = GraphZeppelinConfig::Storage::kDisk;
-  ShardedGraphZeppelin sharded(base, 3, GetParam());
+  ShardedGraphZeppelin sharded(base, 3, Options(3));
   ASSERT_TRUE(sharded.Init().ok());
   for (NodeId i = 0; i + 1 < 16; ++i) {
     sharded.Update({Edge(i, i + 1), UpdateType::kInsert});
@@ -260,11 +248,11 @@ TEST_P(ShardedModeTest, BulkSpanIngestionMatchesSingleUpdates) {
   std::vector<GraphUpdate> updates;
   for (const Edge& e : edges) updates.push_back({e, UpdateType::kInsert});
 
-  ShardedGraphZeppelin bulk(BaseConfig(n, 13), 3, GetParam());
+  ShardedGraphZeppelin bulk(BaseConfig(n, 13), 3, Options(3));
   ASSERT_TRUE(bulk.Init().ok());
   bulk.Update(updates.data(), updates.size());
 
-  ShardedGraphZeppelin single(BaseConfig(n, 13), 3, GetParam());
+  ShardedGraphZeppelin single(BaseConfig(n, 13), 3, Options(3));
   ASSERT_TRUE(single.Init().ok());
   for (const GraphUpdate& u : updates) single.Update(u);
 
@@ -273,18 +261,19 @@ TEST_P(ShardedModeTest, BulkSpanIngestionMatchesSingleUpdates) {
 
 INSTANTIATE_TEST_SUITE_P(
     Modes, ShardedModeTest,
-    ::testing::Values(Mode::kInProcess, Mode::kProcess),
-    [](const ::testing::TestParamInfo<Mode>& info) {
-      return ModeName(info.param);
+    ::testing::Values(Substrate::kThread, Substrate::kProcess),
+    [](const ::testing::TestParamInfo<Substrate>& info) {
+      return SubstrateName(info.param);
     });
 
-// ---- Randomized correctness sweep, both modes -----------------------------
+// ---- Randomized correctness sweep, both substrates ------------------------
 
 class ShardedCorrectnessTest
-    : public ::testing::TestWithParam<std::tuple<int, uint64_t, Mode>> {};
+    : public ::testing::TestWithParam<std::tuple<int, uint64_t, Substrate>> {
+};
 
 TEST_P(ShardedCorrectnessTest, MatchesExactCheckerOnRandomStream) {
-  const auto [num_shards, seed, mode] = GetParam();
+  const auto [num_shards, seed, substrate] = GetParam();
   const uint64_t n = 48;
   ErdosRenyiParams ep;
   ep.num_nodes = n;
@@ -297,7 +286,8 @@ TEST_P(ShardedCorrectnessTest, MatchesExactCheckerOnRandomStream) {
   const StreamTransformResult stream =
       BuildStream(ErdosRenyiGenerator(ep).Generate(), tp);
 
-  ShardedGraphZeppelin sharded(BaseConfig(n, seed + 20), num_shards, mode);
+  ShardedGraphZeppelin sharded(BaseConfig(n, seed + 20), num_shards,
+                               OnSubstrate(substrate, num_shards));
   ASSERT_TRUE(sharded.Init().ok());
   AdjacencyMatrixChecker checker(n);
   for (const GraphUpdate& u : stream.updates) {
@@ -320,12 +310,13 @@ INSTANTIATE_TEST_SUITE_P(
     ShardsAndSeeds, ShardedCorrectnessTest,
     ::testing::Combine(::testing::Values(2, 3, 5),
                        ::testing::Values<uint64_t>(1, 2, 3),
-                       ::testing::Values(Mode::kInProcess, Mode::kProcess)),
-    [](const ::testing::TestParamInfo<std::tuple<int, uint64_t, Mode>>&
+                       ::testing::Values(Substrate::kThread,
+                                         Substrate::kProcess)),
+    [](const ::testing::TestParamInfo<std::tuple<int, uint64_t, Substrate>>&
            info) {
       return "Shards" + std::to_string(std::get<0>(info.param)) + "Seed" +
              std::to_string(std::get<1>(info.param)) +
-             ModeName(std::get<2>(info.param));
+             SubstrateName(std::get<2>(info.param));
     });
 
 }  // namespace

@@ -241,6 +241,43 @@ TEST_P(SketchStoreTest, ReadRecordsStreamsCaptureBytesInWholeRecords) {
   EXPECT_EQ(calls, 1);
 }
 
+TEST_P(SketchStoreTest, MergeRecordsMatchesPerNodeMergeDelta) {
+  // The write-side twin of ReadRecords: XORing a range of serialized
+  // records into the store must leave exactly the bytes a per-node
+  // MergeDelta of the same records leaves. Full-size records, so the
+  // disk store's range spans several bounded read-XOR-write pieces.
+  NodeSketchParams params = MakeParams(600, 17);
+  params.rounds = 0;
+  auto bulk = MakeStore(params, "store_merge_records_bulk.bin");
+  auto per_node = MakeStore(params, "store_merge_records_node.bin");
+  const NodeSketchParams real = bulk->params();
+  SplitMix64 rng(17);
+  const uint64_t max_index = NumPossibleEdges(real.num_nodes);
+  for (NodeId node = 0; node < real.num_nodes; node += 5) {
+    const NodeSketch delta = SketchOf(real, {rng.NextBelow(max_index)});
+    bulk->MergeDelta(node, delta);
+    per_node->MergeDelta(node, delta);
+  }
+  const uint64_t lo = 5, hi = 431;
+  const size_t record = NodeSketch::SerializedSizeFor(real);
+  std::vector<uint8_t> records((hi - lo) * record);
+  for (uint64_t node = lo; node < hi; ++node) {
+    SketchOf(real, {rng.NextBelow(max_index), rng.NextBelow(max_index)})
+        .SerializeTo(records.data() + (node - lo) * record);
+  }
+
+  bulk->MergeRecords(lo, hi, records.data());
+  NodeSketch scratch(real);
+  for (uint64_t node = lo; node < hi; ++node) {
+    scratch.DeserializeFrom(records.data() + (node - lo) * record);
+    per_node->MergeDelta(static_cast<NodeId>(node), scratch);
+  }
+  const SketchArena got = bulk->Capture();
+  const SketchArena want = per_node->Capture();
+  ASSERT_EQ(got.size_bytes(), want.size_bytes());
+  EXPECT_EQ(0, std::memcmp(got.record(0), want.record(0), got.size_bytes()));
+}
+
 TEST(InMemorySketchStoreTest, WritingASharedArenaAborts) {
   InMemorySketchStore store(MakeParams(4, 12));
   const SketchArena capture = store.Capture();

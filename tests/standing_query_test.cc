@@ -27,12 +27,11 @@
 #include "distributed/shard_transport.h"
 #include "distributed/sharded_graph_zeppelin.h"
 #include "stream/erdos_renyi_generator.h"
+#include "tests/shard_substrate.h"
 #include "util/check.h"
 
 namespace gz {
 namespace {
-
-using Mode = ShardedGraphZeppelin::Mode;
 
 constexpr uint64_t kNumNodes = 96;
 constexpr char kSecret[] = "standing-query-secret";
@@ -208,10 +207,12 @@ TEST_F(StandingQueryRegistryTest, LateAddedQueryGetsItsInitialAnswer) {
 
 // ---- Coordinator surface --------------------------------------------------
 
-class StandingQueryCoordinatorTest : public ::testing::TestWithParam<Mode> {};
+class StandingQueryCoordinatorTest
+    : public ::testing::TestWithParam<Substrate> {};
 
 TEST_P(StandingQueryCoordinatorTest, EvaluationsBitwiseVerifiableMidStream) {
-  ShardedGraphZeppelin sharded(BaseConfig(33), 3, GetParam());
+  ShardedGraphZeppelin sharded(BaseConfig(33), 3,
+                               OnSubstrate(GetParam(), 3));
   ASSERT_TRUE(sharded.Init().ok());
   StandingQueryRegistry& reg = sharded.standing_queries();
   reg.Add({StandingQueryKind::kConnected, 0, 5});
@@ -259,43 +260,22 @@ TEST_P(StandingQueryCoordinatorTest, EvaluationsBitwiseVerifiableMidStream) {
 
 INSTANTIATE_TEST_SUITE_P(
     Modes, StandingQueryCoordinatorTest,
-    ::testing::Values(Mode::kInProcess, Mode::kProcess),
-    [](const ::testing::TestParamInfo<Mode>& info) {
-      return info.param == Mode::kInProcess ? "InProcess" : "Process";
+    ::testing::Values(Substrate::kThread, Substrate::kProcess),
+    [](const ::testing::TestParamInfo<Substrate>& info) {
+      return SubstrateName(info.param);
     });
 
 // ---- Chaos: a live split under standing queries ---------------------------
 
-enum class Transport { kLocal, kTcp };
-
-class StandingQueryClusterTest : public ::testing::TestWithParam<Transport> {
+class StandingQueryClusterTest : public ::testing::TestWithParam<Substrate> {
  protected:
   ShardClusterOptions MakeOptions(int num_shards) {
     ShardClusterOptions options;
     options.migrate_nodes_per_chunk = 16;
-    if (GetParam() == Transport::kTcp) {
-      options.auth_secret = kSecret;
-      GZ_CHECK_OK(StartListenerShards(
-          DefaultShardBinary(), num_shards, ::testing::TempDir(),
-          ::testing::TempDir() + "/gz_standing_l", kSecret, &listeners_,
-          &options.shard_endpoints));
-    }
-    return options;
+    return shards_.Place(num_shards, options);
   }
 
-  // Where a grown shard lives: a fresh listener on TCP, a local child
-  // otherwise.
-  std::string GrowEndpoint() {
-    if (GetParam() == Transport::kLocal) return std::string();
-    std::vector<std::string> endpoints;
-    GZ_CHECK_OK(StartListenerShards(
-        DefaultShardBinary(), 1, ::testing::TempDir(),
-        ::testing::TempDir() + "/gz_standing_x", kSecret, &listeners_,
-        &endpoints));
-    return endpoints.back();
-  }
-
-  std::vector<std::unique_ptr<ListenerShard>> listeners_;
+  SubstrateShards shards_{GetParam(), kSecret};
 };
 
 TEST_P(StandingQueryClusterTest, NotificationsStayExactThroughASplit) {
@@ -304,8 +284,7 @@ TEST_P(StandingQueryClusterTest, NotificationsStayExactThroughASplit) {
   // ingest interleaved. Every notification must pass the bitwise bar
   // at its own position, and the component count must track the dense
   // baseline at every evaluated position.
-  ShardedGraphZeppelin sharded(BaseConfig(55), 3, Mode::kProcess,
-                               MakeOptions(3));
+  ShardedGraphZeppelin sharded(BaseConfig(55), 3, MakeOptions(3));
   ASSERT_TRUE(sharded.Init().ok());
   StandingQueryRegistry& reg = sharded.standing_queries();
   reg.Add({StandingQueryKind::kConnected, 1, 2});
@@ -343,7 +322,7 @@ TEST_P(StandingQueryClusterTest, NotificationsStayExactThroughASplit) {
   feed(0, half);
   evaluate_and_pin("pre-split");
 
-  Result<int> target = sharded.BeginSplitShard(0, GrowEndpoint());
+  Result<int> target = sharded.BeginSplitShard(0, shards_.Grow());
   ASSERT_TRUE(target.ok()) << target.status().ToString();
   size_t fed = half;
   int pumps = 0;
@@ -367,10 +346,11 @@ TEST_P(StandingQueryClusterTest, NotificationsStayExactThroughASplit) {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    Transports, StandingQueryClusterTest,
-    ::testing::Values(Transport::kLocal, Transport::kTcp),
-    [](const ::testing::TestParamInfo<Transport>& info) {
-      return info.param == Transport::kLocal ? "Local" : "Tcp";
+    Substrates, StandingQueryClusterTest,
+    ::testing::Values(Substrate::kThread, Substrate::kProcess,
+                      Substrate::kTcp),
+    [](const ::testing::TestParamInfo<Substrate>& info) {
+      return SubstrateName(info.param);
     });
 
 // ---- The push-notified watch over the serving tier ------------------------

@@ -28,6 +28,7 @@
 #include "distributed/shard_transport.h"
 #include "distributed/sharded_graph_zeppelin.h"
 #include "stream/erdos_renyi_generator.h"
+#include "tests/shard_substrate.h"
 #include "workloads/count_min.h"
 #include "workloads/k_connectivity.h"
 #include "workloads/window_ingestor.h"
@@ -35,8 +36,6 @@
 
 namespace gz {
 namespace {
-
-using Mode = ShardedGraphZeppelin::Mode;
 
 GraphZeppelinConfig BaseConfig(uint64_t n, uint64_t seed) {
   GraphZeppelinConfig c;
@@ -57,10 +56,6 @@ GraphZeppelinConfig HHConfig(uint64_t n, uint64_t seed) {
   c.heavy_hitter_depth = 4;
   c.heavy_hitter_candidates = 1 << 14;
   return c;
-}
-
-std::string ModeName(Mode mode) {
-  return mode == Mode::kInProcess ? "InProcess" : "Process";
 }
 
 // ---- CountMinSketch -------------------------------------------------------
@@ -283,9 +278,9 @@ TEST(HeavyHitterTest, InstanceTracksOnBothUpdatePaths) {
   EXPECT_EQ(gz.heavy_hitters()->DegreeCount(0), 1);
 }
 
-// ---- Distributed identity, both modes -------------------------------------
+// ---- Distributed identity, both substrates --------------------------------
 
-class WorkloadShardedTest : public ::testing::TestWithParam<Mode> {};
+class WorkloadShardedTest : public ::testing::TestWithParam<Substrate> {};
 
 TEST_P(WorkloadShardedTest, HeavyHitterFoldMatchesSingleInstanceBitwise) {
   const uint64_t n = 48;
@@ -302,7 +297,7 @@ TEST_P(WorkloadShardedTest, HeavyHitterFoldMatchesSingleInstanceBitwise) {
   }
 
   const GraphZeppelinConfig config = HHConfig(n, 23);
-  ShardedGraphZeppelin sharded(config, 3, GetParam());
+  ShardedGraphZeppelin sharded(config, 3, OnSubstrate(GetParam(), 3));
   ASSERT_TRUE(sharded.Init().ok());
   GraphZeppelin single(config);
   ASSERT_TRUE(single.Init().ok());
@@ -317,7 +312,8 @@ TEST_P(WorkloadShardedTest, HeavyHitterFoldMatchesSingleInstanceBitwise) {
 }
 
 TEST_P(WorkloadShardedTest, HeavyHittersDisabledIsFailedPrecondition) {
-  ShardedGraphZeppelin sharded(BaseConfig(32, 5), 2, GetParam());
+  ShardedGraphZeppelin sharded(BaseConfig(32, 5), 2,
+                               OnSubstrate(GetParam(), 2));
   ASSERT_TRUE(sharded.Init().ok());
   EXPECT_EQ(sharded.HeavyHitters().status().code(),
             StatusCode::kFailedPrecondition);
@@ -339,7 +335,7 @@ TEST_P(WorkloadShardedTest, HeavyHittersSurviveLiveSplitAndRemove) {
   for (const Edge& e : edges) updates.push_back({e, UpdateType::kInsert});
 
   const GraphZeppelinConfig config = HHConfig(n, 31);
-  ShardedGraphZeppelin sharded(config, 2, GetParam());
+  ShardedGraphZeppelin sharded(config, 2, OnSubstrate(GetParam(), 2));
   ASSERT_TRUE(sharded.Init().ok());
   GraphZeppelin single(config);
   ASSERT_TRUE(single.Init().ok());
@@ -354,7 +350,8 @@ TEST_P(WorkloadShardedTest, HeavyHittersSurviveLiveSplitAndRemove) {
   };
 
   feed_burst(updates.size() / 3);
-  Result<int> target = sharded.BeginSplitShard(0);
+  Result<int> target =
+      sharded.BeginSplitShard(0, SubstrateEndpoint(GetParam()));
   ASSERT_TRUE(target.ok()) << target.status().ToString();
   while (sharded.migration_active()) {
     feed_burst(64);  // Live split: ingestion interleaves with chunks.
@@ -380,32 +377,16 @@ TEST_P(WorkloadShardedTest, HeavyHittersSurviveLiveSplitAndRemove) {
 
 INSTANTIATE_TEST_SUITE_P(
     Modes, WorkloadShardedTest,
-    ::testing::Values(Mode::kInProcess, Mode::kProcess),
-    [](const ::testing::TestParamInfo<Mode>& info) {
-      return ModeName(info.param);
+    ::testing::Values(Substrate::kThread, Substrate::kProcess),
+    [](const ::testing::TestParamInfo<Substrate>& info) {
+      return SubstrateName(info.param);
     });
 
-// ---- Cluster-level workloads over both transports -------------------------
+// ---- Cluster-level workloads on every substrate -------------------------
 
-enum class Transport { kLocal, kTcp };
-
-constexpr char kWorkloadSecret[] = "workloads-test-secret";
-
-class WorkloadClusterTest : public ::testing::TestWithParam<Transport> {
+class WorkloadClusterTest : public ::testing::TestWithParam<Substrate> {
  protected:
-  ShardClusterOptions MakeOptions(int num_listeners,
-                                  ShardClusterOptions options = {}) {
-    if (GetParam() == Transport::kTcp) {
-      options.auth_secret = kWorkloadSecret;
-      GZ_CHECK_OK(StartListenerShards(
-          DefaultShardBinary(), num_listeners, ::testing::TempDir(),
-          ::testing::TempDir() + "/gz_wl_listener_", kWorkloadSecret,
-          &listeners_, &options.shard_endpoints));
-    }
-    return options;
-  }
-
-  std::vector<std::unique_ptr<ListenerShard>> listeners_;
+  SubstrateShards shards_{GetParam()};
 };
 
 TEST_P(WorkloadClusterTest, ReplicatedHeavyHittersMatchSingleProcess) {
@@ -424,7 +405,7 @@ TEST_P(WorkloadClusterTest, ReplicatedHeavyHittersMatchSingleProcess) {
   const GraphZeppelinConfig config = HHConfig(n, 41);
   ShardClusterOptions options;
   options.replication_factor = 2;
-  ShardCluster cluster(config, 2, MakeOptions(2 * 2, options));
+  ShardCluster cluster(config, 2, shards_.Place(2, options));
   ASSERT_TRUE(cluster.Start().ok());
   ASSERT_TRUE(cluster.Update(updates.data(), updates.size()).ok());
 
@@ -453,7 +434,7 @@ TEST_P(WorkloadClusterTest, ErdosRenyiForestsArePairwiseEdgeDisjoint) {
 
   GraphZeppelinConfig config = BaseConfig(n, 47);
   config.rounds = RoundsForForests(n, k);
-  ShardCluster cluster(config, 2, MakeOptions(2));
+  ShardCluster cluster(config, 2, shards_.Place(2));
   ASSERT_TRUE(cluster.Start().ok());
   for (const Edge& e : edges) {
     const GraphUpdate u{e, UpdateType::kInsert};
@@ -487,10 +468,11 @@ TEST_P(WorkloadClusterTest, ErdosRenyiForestsArePairwiseEdgeDisjoint) {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    Transports, WorkloadClusterTest,
-    ::testing::Values(Transport::kLocal, Transport::kTcp),
-    [](const ::testing::TestParamInfo<Transport>& info) {
-      return info.param == Transport::kLocal ? "Local" : "Tcp";
+    Substrates, WorkloadClusterTest,
+    ::testing::Values(Substrate::kThread, Substrate::kProcess,
+                      Substrate::kTcp),
+    [](const ::testing::TestParamInfo<Substrate>& info) {
+      return SubstrateName(info.param);
     });
 
 // ---- Sliding window -------------------------------------------------------

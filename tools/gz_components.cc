@@ -97,8 +97,7 @@ int RunSharded(const gz::tools::Flags& flags,
   copts.shard_endpoints = endpoints;
   copts.replication_factor = replication;
   ShardedGraphZeppelin sharded(
-      config, static_cast<int>(endpoints.size()) / replication,
-      ShardedGraphZeppelin::Mode::kProcess, copts);
+      config, static_cast<int>(endpoints.size()) / replication, copts);
   Status s = sharded.Init();
   if (!s.ok()) {
     std::fprintf(stderr, "cluster init failed: %s\n", s.ToString().c_str());
