@@ -8,7 +8,7 @@
 // gz_shard worker processes over socketpairs (local:), and
 // listener-mode gz_shards dialed over loopback TCP with an
 // authenticated handshake (tcp://). All three frame updates and
-// aggregate serialized GraphSnapshot bytes at query time, so the
+// aggregate whole-graph node-range replies at query time, so the
 // columns isolate the process boundary and the network stack. Each
 // row also reports the measured CRC32C throughput and the estimated
 // share of
@@ -33,14 +33,12 @@
 #include <vector>
 
 #include "bench/bench_common.h"
+#include "distributed/shard_cluster.h"
 #include "distributed/shard_transport.h"
-#include "distributed/sharded_graph_zeppelin.h"
 #include "util/crc32c.h"
 #include "util/timer.h"
 
 namespace {
-
-using gz::ShardedGraphZeppelin;
 
 // The substrate column: server threads or worker processes over
 // socketpairs, or listener-mode worker processes over loopback TCP
@@ -122,8 +120,8 @@ int RunRebalanceBench(const gz::bench::Workload& w) {
         std::max<uint64_t>(1, w.num_nodes / 64);
     std::vector<std::unique_ptr<ListenerShard>> listeners;
     options = OptionsFor(mode, 2, &listeners, std::move(options));
-    ShardedGraphZeppelin sharded(base, 2, options);
-    GZ_CHECK_OK(sharded.Init());
+    ShardCluster sharded(base, 2, options);
+    GZ_CHECK_OK(sharded.Start());
 
     const std::vector<GraphUpdate>& updates = w.stream.updates;
     const size_t burst = 4096;
@@ -134,7 +132,7 @@ int RunRebalanceBench(const gz::bench::Workload& w) {
       if (fed >= updates.size()) return false;
       const size_t count = std::min(burst, updates.size() - fed);
       WallTimer t;
-      sharded.Update(updates.data() + fed, count);
+      GZ_CHECK_OK(sharded.Update(updates.data() + fed, count));
       *max_burst = std::max(*max_burst, t.Seconds());
       fed += count;
       return true;
@@ -168,9 +166,12 @@ int RunRebalanceBench(const gz::bench::Workload& w) {
 
     while (feed_burst(&max_burst_baseline)) {
     }
-    sharded.Flush();
+    GZ_CHECK_OK(sharded.Flush());
 
-    const ConnectivityResult r = sharded.ListSpanningForest();
+    Result<GraphSnapshot> merged = sharded.Snapshot();
+    GZ_CHECK_OK(merged.status());
+    const ConnectivityResult r =
+        Connectivity(merged.value(), base.query_threads);
     GZ_CHECK(!r.failed);
     std::printf(
         "%s  {\"bench\": \"ext_sharded_rebalance\", \"workload\": \"%s\",\n"
@@ -318,24 +319,27 @@ int main(int argc, char** argv) {
       base.num_nodes = w.num_nodes;
       base.num_workers = 1;  // One worker per shard: shards ARE parallelism.
       std::vector<std::unique_ptr<ListenerShard>> listeners;
-      ShardedGraphZeppelin sharded(base, shards,
-                                   OptionsFor(mode, shards, &listeners));
-      GZ_CHECK_OK(sharded.Init());
+      ShardCluster sharded(base, shards,
+                           OptionsFor(mode, shards, &listeners));
+      GZ_CHECK_OK(sharded.Start());
 
       WallTimer timer;
-      sharded.Update(w.stream.updates.data(), w.stream.updates.size());
-      sharded.Flush();  // Ingestion includes applying all updates.
+      GZ_CHECK_OK(
+          sharded.Update(w.stream.updates.data(), w.stream.updates.size()));
+      // Ingestion includes applying all updates.
+      GZ_CHECK_OK(sharded.Flush());
       const double ingest_seconds = timer.Seconds();
 
-      // Query split: aggregation (shard snapshots -> one merged
+      // Query split: aggregation (shard range reads -> one merged
       // snapshot: the serialized-bytes fold over the sockets) vs the
       // Boruvka solve on the result.
       WallTimer agg_timer;
-      GraphSnapshot merged = sharded.Snapshot();
+      Result<GraphSnapshot> merged = sharded.Snapshot();
+      GZ_CHECK_OK(merged.status());
       const double agg_seconds = agg_timer.Seconds();
       WallTimer solve_timer;
       const ConnectivityResult r =
-          Connectivity(std::move(merged), base.query_threads);
+          Connectivity(merged.value(), base.query_threads);
       const double solve_seconds = solve_timer.Seconds();
       GZ_CHECK(!r.failed);
       if (!have_expectation) {

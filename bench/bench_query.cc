@@ -34,9 +34,9 @@
 #include "core/standing_query.h"
 #include "core/graph_snapshot.h"
 #include "distributed/query_session.h"
+#include "distributed/shard_cluster.h"
 #include "distributed/shard_process.h"
 #include "distributed/shard_transport.h"
-#include "distributed/sharded_graph_zeppelin.h"
 
 namespace {
 
@@ -170,10 +170,10 @@ int main() {
       config.num_nodes = n;
       ShardClusterOptions thread_opts;
       thread_opts.shard_endpoints.assign(kShards, "thread:");
-      ShardedGraphZeppelin sharded(config, kShards, thread_opts);
-      GZ_CHECK_OK(sharded.Init());
-      sharded.Update(updates.data(), updates.size());
-      sharded.Flush();
+      ShardCluster sharded(config, kShards, thread_opts);
+      GZ_CHECK_OK(sharded.Start());
+      GZ_CHECK_OK(sharded.Update(updates.data(), updates.size()));
+      GZ_CHECK_OK(sharded.Flush());
 
       const GraphSnapshot* cached = nullptr;
       WallTimer cold_timer;
@@ -182,8 +182,12 @@ int main() {
 
       const int refolds = 5;
       WallTimer refold_timer;
-      GraphSnapshot full = sharded.Snapshot();
-      for (int i = 1; i < refolds; ++i) full = sharded.Snapshot();
+      Result<GraphSnapshot> full = sharded.Snapshot();
+      GZ_CHECK_OK(full.status());
+      for (int i = 1; i < refolds; ++i) {
+        full = sharded.Snapshot();
+        GZ_CHECK_OK(full.status());
+      }
       refold_s = refold_timer.Seconds() / refolds;
 
       const int reps = 50;
@@ -193,7 +197,7 @@ int main() {
       }
       cached_s = cached_timer.Seconds() / reps;
 
-      GZ_CHECK(*cached == full);
+      GZ_CHECK(*cached == full.value());
       GZ_CHECK(sharded.snapshot_cache().cold_builds() == 1);
       // The serving tier's reason to exist; regressing this means a
       // cached hit re-folded.

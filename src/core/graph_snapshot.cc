@@ -298,30 +298,6 @@ Result<GraphSnapshot> GraphSnapshot::Deserialize(const uint8_t* data,
   return GraphSnapshot(header.params, std::move(records), header.num_updates);
 }
 
-Status GraphSnapshot::MergeSerialized(const uint8_t* data, size_t size) {
-  if (!valid()) return Status::InvalidArgument("empty snapshot");
-  if (data == nullptr || size < kHeaderBytes) {
-    return Status::InvalidArgument("GraphSnapshot buffer too short");
-  }
-  SnapshotHeader header;
-  Status s = ParseHeader(data, &header);
-  if (!s.ok()) return s;
-  if (size != ExpectedBytes(header)) {
-    return Status::InvalidArgument(
-        "GraphSnapshot buffer size does not match its header");
-  }
-  if (!(header.params == params())) {
-    return Status::InvalidArgument(
-        "snapshot params mismatch: merge requires identical seed, node "
-        "bound and sketch geometry");
-  }
-  // Past this point nothing can fail, so the fold never leaves the
-  // snapshot half-merged.
-  XorBytes(MutableRecords(), data + kHeaderBytes, records_.size_bytes());
-  num_updates_ += header.num_updates;
-  return Status::Ok();
-}
-
 size_t GraphSnapshot::SerializedRangeSizeFor(const NodeSketchParams& params,
                                              uint64_t lo, uint64_t hi) {
   GZ_CHECK_MSG(lo < hi && hi <= params.num_nodes, "bad node range");

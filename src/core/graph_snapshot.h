@@ -8,9 +8,9 @@
 // same seed and geometry can be XOR-merged with Merge(), and the result
 // is exactly the snapshot a single instance would have produced for the
 // combined stream. That algebra is the sharded coordinator's
-// aggregation step, and — via Serialize()/Deserialize() — the natural
-// network frame for a multi-process split. Checkpointing is snapshot
-// serialization to a file.
+// aggregation step, over node-range deltas (the one network format for
+// sketch state; a whole graph is the range [0, num_nodes)).
+// Checkpointing is snapshot serialization to a file.
 //
 // Storage is one flat arena of serialized node records
 // (sketch/node_record.h), the same bytes Serialize() writes after its
@@ -106,14 +106,6 @@ class GraphSnapshot {
   static size_t SerializedSizeFor(const NodeSketchParams& params);
   std::vector<uint8_t> Serialize() const;
   static Result<GraphSnapshot> Deserialize(const uint8_t* data, size_t size);
-
-  // Streaming merge from serialized bytes: validates the header, checks
-  // params against this snapshot, then XORs the records straight in —
-  // the coordinator's aggregation of a shard's snapshot reply without
-  // materializing a second snapshot.
-  // InvalidArgument on malformed bytes or a params mismatch; this
-  // snapshot is unchanged on any error.
-  Status MergeSerialized(const uint8_t* data, size_t size);
 
   // --- Node-range deltas ---------------------------------------------------
   // A serialized node-range delta is the sketch content of nodes

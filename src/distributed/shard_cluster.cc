@@ -1,6 +1,7 @@
 #include "distributed/shard_cluster.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 
@@ -16,12 +17,17 @@ namespace {
 // stays bounded no matter how long an unacked log grows.
 constexpr size_t kMaxUpdatesPerFrame = 1 << 18;
 
+// Hands every cluster in the process a distinct serial for its
+// checkpoint file names.
+std::atomic<uint64_t> next_cluster_serial{0};
+
 }  // namespace
 
 ShardCluster::ShardCluster(const GraphZeppelinConfig& base, int num_shards,
                            ShardClusterOptions options)
     : base_(base),
       options_(std::move(options)),
+      serial_(next_cluster_serial.fetch_add(1, std::memory_order_relaxed)),
       cache_(options_.migrate_nodes_per_chunk) {
   GZ_CHECK(num_shards >= 1);
   GZ_CHECK(options_.migrate_nodes_per_chunk >= 1);
@@ -168,12 +174,13 @@ int ShardCluster::FirstLiveReplica(int shard) {
 }
 
 std::string ShardCluster::CheckpointPath(int shard, int replica) const {
-  // Coordinator pid + seed + shard index: concurrent clusters sharing
-  // one checkpoint_dir cannot clobber each other. Replica 0 keeps the
+  // Coordinator pid + cluster serial + seed + shard index: clusters
+  // sharing one checkpoint_dir — across processes or within one, even
+  // at the same seed — cannot clobber each other. Replica 0 keeps the
   // unsuffixed pre-replication name.
   return options_.checkpoint_dir + "/gz_shard_ckpt_p" +
-         std::to_string(::getpid()) + "_s" + std::to_string(base_.seed) +
-         "_" + std::to_string(shard) +
+         std::to_string(::getpid()) + "_c" + std::to_string(serial_) +
+         "_s" + std::to_string(base_.seed) + "_" + std::to_string(shard) +
          (replica > 0 ? "_r" + std::to_string(replica) : std::string()) +
          ".bin";
 }
@@ -407,33 +414,31 @@ Status ShardCluster::Flush() {
 
 Result<GraphSnapshot> ShardCluster::Snapshot() {
   if (!started_) return Status::FailedPrecondition("cluster not started");
-  // Replies fold in arrival order: the first one materializes the
-  // snapshot, every later reply is XORed in by MergeSerialized
-  // straight from its bytes. Peak memory is one snapshot + one
-  // reply buffer regardless of shard count. One live replica answers
-  // per shard — all live replicas are bitwise-equal, so any one is the
-  // shard. (On a barrier failure the helper still runs the fold for
-  // drained replies; the result is discarded with the error.)
-  GraphSnapshot merged;
+  // One range read of [0, num_nodes) per shard, XOR-folded in arrival
+  // order into a zero snapshot straight from the reply bytes: peak
+  // memory is one snapshot + one reply buffer regardless of shard
+  // count. One live replica answers per shard — all live replicas are
+  // bitwise-equal, so any one is the shard. Deliberately not served
+  // from cache_, whose per-shard terms would stay resident beside the
+  // merged copy. (On a barrier failure the helper still folds drained
+  // replies; the result is discarded with the error.)
+  const std::vector<uint8_t> whole = EncodeMigrateExtract(0, base_.num_nodes);
+  const std::string request(whole.begin(), whole.end());
+  GraphSnapshot merged = GraphSnapshot::Zero(SketchParams());
   Status s = PipelinedBarrier(
-      ShardMessageType::kSnapshot, ShardMessageType::kSnapshotBytes, nullptr,
+      ShardMessageType::kMigrateExtract, ShardMessageType::kMigrateData,
+      [&request](int, int) { return request; },
       [&merged](int, int, const ShardFrame& reply) {
-        if (!merged.valid()) {
-          Result<GraphSnapshot> r = GraphSnapshot::Deserialize(
-              reply.payload.data(), reply.payload.size());
-          if (!r.ok()) return r.status();
-          merged = std::move(r).value();
-          return Status::Ok();
-        }
-        return merged.MergeSerialized(reply.payload.data(),
-                                      reply.payload.size());
+        return merged.MergeSerializedNodeRange(reply.payload.data(),
+                                               reply.payload.size());
       },
       BarrierScope::kOnePerShard);
   if (!s.ok()) return s;
-  // Removed shards' ingested counts live on here: their sketch content
-  // migrated to survivors (count-free deltas), so the aggregate count
-  // is survivors' positions plus this adjustment.
-  merged.AddUpdates(migrated_updates_);
+  // Range reads carry no counts. FIFO sockets make each shard's
+  // content exactly its watermark position, and removed shards'
+  // ingested counts live on in migrated_updates_ (their content moved
+  // to survivors as count-free deltas).
+  merged.SetUpdates(TotalUpdates(Watermarks()));
   return merged;
 }
 
@@ -802,20 +807,16 @@ Status ShardCluster::PumpMigration() {
       if (!hh.ok()) return hh.status();
       source_hh = std::move(hh).value();
     }
-    ShardAck ack;
     // The source is quiescent (no slots since the epoch bump, flushed
     // by every extract), so its position is final; it must survive in
     // the aggregate update count after the process goes away. A sticky
     // divergence error surfaces here and blocks the removal.
-    Status s = procs_[m.source][src]->CallAck(ShardMessageType::kStats,
-                                              nullptr, 0, &ack);
-    if (!s.ok()) {
-      down_[m.source][src] = true;
-      return s;
-    }
+    ShardStatsEx ex;
+    Status s = ReplicaStatsEx(m.source, src, &ex);
+    if (!s.ok()) return s;
     // Commit point: nothing below can fail, so the captured counters
     // and the update count land exactly once.
-    migrated_updates_ += ack.value0;
+    migrated_updates_ += ex.num_updates;
     if (source_hh.valid()) {
       if (!retired_hh_.valid()) {
         retired_hh_ = std::move(source_hh);
@@ -1048,10 +1049,6 @@ Result<ShardStats> ShardCluster::Stats(int shard) {
     return Status::FailedPrecondition("shard " + std::to_string(shard) +
                                       " is down");
   }
-  // STATS_EX rather than the legacy STATS: the reply carries the
-  // shard's serving watermark (epoch, update count, delta sequence) on
-  // top of the RAM figure, which is what the serving tier keys its
-  // cache by.
   ShardStatsEx ex;
   Status s = ReplicaStatsEx(shard, replica, &ex);
   if (!s.ok()) return s;
@@ -1138,12 +1135,7 @@ Status ShardCluster::RepairReplica(int shard, int replica, int reference,
                   ex.delta_seq == delta_seq_sent_[shard][replica] &&
                   ex.epoch == table_.epoch;
   }
-  NodeSketchParams params;
-  params.num_nodes = base_.num_nodes;
-  params.seed = base_.seed;
-  params.cols = base_.cols;
-  params.rounds = base_.rounds > 0 ? base_.rounds
-                                   : NodeSketch::DefaultRounds(base_.num_nodes);
+  const NodeSketchParams params = SketchParams();
   uint64_t diffs = 0;
   for (uint64_t lo = 0; lo < base_.num_nodes;
        lo += options_.migrate_nodes_per_chunk) {
@@ -1264,6 +1256,22 @@ Status ShardCluster::Reconcile(uint64_t* repaired_chunks) {
 
 // ---- Serving tier ----------------------------------------------------------
 
+NodeSketchParams ShardCluster::SketchParams() const {
+  NodeSketchParams params;
+  params.num_nodes = base_.num_nodes;
+  params.seed = base_.seed;
+  params.cols = base_.cols;
+  params.rounds = base_.rounds > 0 ? base_.rounds
+                                   : NodeSketch::DefaultRounds(base_.num_nodes);
+  return params;
+}
+
+uint64_t ShardCluster::TotalUpdates(const ShardWatermarks& marks) const {
+  uint64_t total = migrated_updates_;
+  for (const auto& [shard, mark] : marks) total += mark.num_updates;
+  return total;
+}
+
 ShardWatermarks ShardCluster::Watermarks() const {
   // Pure bookkeeping, no RPC: a shard's eventual update count is its
   // last acked checkpoint position plus its unacked log (the log holds
@@ -1287,23 +1295,14 @@ ShardWatermarks ShardCluster::Watermarks() const {
 Status ShardCluster::CachedSnapshot(const GraphSnapshot** out) {
   if (!started_) return Status::FailedPrecondition("cluster not started");
   const ShardWatermarks marks = Watermarks();
-  uint64_t total_updates = migrated_updates_;
-  for (const auto& [shard, mark] : marks) {
-    total_updates += mark.num_updates;
-  }
   if (!cache_.Fresh(table_.epoch, marks)) {
-    NodeSketchParams params;
-    params.num_nodes = base_.num_nodes;
-    params.seed = base_.seed;
-    params.cols = base_.cols;
-    params.rounds = base_.rounds;
     // The puller is the read-only extract RPC migration already uses;
     // FIFO ordering means the extracted bytes cover every frame sent
     // before the pull, i.e. exactly the watermark the key promises.
     // Any live replica serves — all of them are bitwise-equal at the
     // keyed position — so the pull fails over past dead ones.
     const Status s = cache_.Refresh(
-        table_.epoch, marks, total_updates, params,
+        table_.epoch, marks, TotalUpdates(marks), SketchParams(),
         [this](int shard, uint64_t lo, uint64_t hi, const uint8_t** data,
                size_t* size) {
           if (procs_[shard].empty() || FirstUnfencedReplica(shard) < 0) {

@@ -153,12 +153,12 @@ class ShardCluster {
 
   // Barriers (every replica of every shard must be healthy).
   Status Flush();
-  // Aggregated query surface: streams one live replica per shard's
-  // serialized snapshot back and XOR-folds the replies (one
-  // deserialized snapshot plus one reply buffer in flight). Exact
-  // even mid-migration: chunk moves are install+cancel pairs, so the
-  // global XOR never double-counts. Survives dead replicas as long as
-  // every shard keeps one live one.
+  // Aggregated query surface: one range read of [0, num_nodes) per
+  // shard, from one live replica each, XOR-folded into a zero snapshot
+  // (one snapshot plus one reply buffer in flight); the update count is
+  // the Watermarks() total. Exact even mid-migration: chunk moves are
+  // install+cancel pairs, so the global XOR never double-counts.
+  // Survives dead replicas as long as every shard keeps one live one.
   Result<GraphSnapshot> Snapshot();
   // Aggregated heavy-hitter surface: folds one live replica per
   // shard's serialized HeavyHitterSketch (sum-merge — the CM grids are
@@ -335,7 +335,7 @@ class ShardCluster {
   };
   // Which replicas a barrier touches: every replica of every shard
   // (mutations: flush, checkpoint, epoch) or one live replica per
-  // shard (read-only folds: snapshot).
+  // shard (read-only folds: snapshot, heavy hitters).
   enum class BarrierScope { kAllReplicas, kOnePerShard };
 
   // Connects + configures one replica; `restored` /
@@ -344,6 +344,11 @@ class ShardCluster {
   Status SpawnAndConfigure(int shard, int replica, bool restore,
                            uint64_t* restored, uint64_t* restored_delta_seq);
   std::string CheckpointPath(int shard, int replica) const;
+  // The shards' sketch geometry (rounds resolved from the default).
+  NodeSketchParams SketchParams() const;
+  // The cluster's stream position: the watermarks' update counts plus
+  // the positions of removed shards.
+  uint64_t TotalUpdates(const ShardWatermarks& marks) const;
   std::string LogPath(int shard, int replica) const;
   GraphZeppelinConfig ShardConfigFor(int shard, int replica) const;
   // Transport for one replica from endpoints_[shard][replica]
@@ -407,6 +412,8 @@ class ShardCluster {
 
   GraphZeppelinConfig base_;
   ShardClusterOptions options_;
+  // Distinct per cluster in this process; part of checkpoint names.
+  uint64_t serial_ = 0;
   std::string binary_;
   std::string log_dir_;
   int replication_ = 1;
@@ -441,7 +448,7 @@ class ShardCluster {
   // on-disk file may be newer if an ack was lost to a crash.
   std::vector<std::vector<uint64_t>> checkpoint_updates_;
   // Stream positions of removed shards: their ingested counts fold into
-  // every Snapshot() so the aggregate update count survives removal.
+  // every TotalUpdates() so the aggregate update count survives removal.
   uint64_t migrated_updates_ = 0;
   // Heavy-hitter counters of removed shards, captured before their
   // processes retire (migration deltas carry XOR sketch content only,

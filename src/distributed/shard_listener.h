@@ -4,8 +4,8 @@
 // it to many concurrent sessions: at most ONE authenticated writer —
 // the coordinator, full protocol, byte-identical to the single-session
 // server — plus any number of authenticated readers (bounded by
-// max_sessions) issuing read-only frames (PING / STATS / STATS_EX /
-// SNAPSHOT / MIGRATE_EXTRACT). That asymmetry is the whole design: the
+// max_sessions) issuing read-only frames (PING / STATS_EX /
+// MIGRATE_EXTRACT / HEAVY_HITTERS). That asymmetry is the whole design: the
 // ingest path stays a single FIFO stream (which is what makes shard
 // state a pure function of its watermark), while the serving tier
 // scales out by adding reader sessions.

@@ -57,6 +57,11 @@ Status DecodeHeader(const uint8_t in[ShardFrameHeader::kBytes],
     return Status::InvalidArgument("shard frame: unknown message type " +
                                    std::to_string(type16));
   }
+  // Retired numbers inside the range above (see ShardMessageType).
+  if (type16 == 4 || type16 == 6 || type16 == 10) {
+    return Status::InvalidArgument("shard frame: retired message type " +
+                                   std::to_string(type16));
+  }
   if (payload_bytes > ShardFrameHeader::kMaxPayloadBytes) {
     return Status::InvalidArgument("shard frame: payload length " +
                                    std::to_string(payload_bytes) +

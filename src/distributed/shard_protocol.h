@@ -13,9 +13,9 @@
 // trusted byte-for-byte, the connection is fenced. Updates travel as
 // flat GraphUpdate slabs — the exact in-memory layout the PR 1
 // pooled-batch pipeline routes, so the coordinator frames a routing
-// buffer with scatter-gather I/O and never copies it — and snapshots
-// travel as GraphSnapshot::Serialize bytes, the same self-describing
-// format checkpoint files use.
+// buffer with scatter-gather I/O and never copies it — and sketch state
+// travels in one format only, the GraphSnapshot node-range delta: a
+// whole-graph read is the range [0, num_nodes).
 //
 // Sessions open with a challenge–response HELLO handshake keyed by a
 // shared secret (HMAC-SHA256 over fresh nonces, mutual): an untrusted
@@ -53,15 +53,16 @@ enum class ShardMessageType : uint16_t {
   kUpdateBatch = 2,  // u64 routing epoch + flat GraphUpdate slab.
                      // Fire-and-forget (no reply).
   kFlush = 3,        // Drain gutters + workers.
-  kSnapshot = 4,     // Reply: kSnapshotBytes.
+  // 4 and 6 are retired request numbers, never to be reused; RecvFrame
+  // rejects them. A whole-graph read is kMigrateExtract over
+  // [0, num_nodes).
   kCheckpoint = 5,   // Payload: file path. Shard saves a checkpoint.
-  kStats = 6,        // Reply: kAck{num_updates, ram_bytes}.
   kPing = 7,         // Health probe.
   kShutdown = 8,     // Orderly exit; shard acks, then terminates.
   // Shard -> coordinator.
-  kAck = 9,            // Two u64 values; meaning depends on the request.
-  kSnapshotBytes = 10,  // GraphSnapshot::Serialize payload.
-  kError = 11,          // u32 StatusCode + message string.
+  kAck = 9,    // Two u64 values; meaning depends on the request.
+  // 10 is a retired reply number, rejected like 4 and 6.
+  kError = 11,  // u32 StatusCode + message string.
   // Elastic resharding (coordinator -> shard, except kMigrateData).
   kEpoch = 12,           // RoutingTable payload; shard adopts the new
                          // epoch. Reply: kAck{num_updates, delta_seq}.
@@ -81,9 +82,9 @@ enum class ShardMessageType : uint16_t {
   kAuth = 18,       // Client -> shard: 32-byte client proof.
                     // Reply: kAck on success, kError on mismatch.
   // Serving tier (any session -> shard).
-  kStatsEx = 19,    // Empty payload. Reply: kStatsReply — the extended
-                    // stats the snapshot cache keys on (kStats keeps
-                    // its two-u64 kAck reply for wire compatibility).
+  kStatsEx = 19,    // Empty payload. Reply: kStatsReply — the shard's
+                    // position, RAM and geometry (the snapshot cache
+                    // keys on the position).
   kStatsReply = 20,  // Shard -> client: ShardStatsEx payload.
   // Replication (coordinator -> shard, writer session only).
   kSyncPosition = 21,  // Two u64s {num_updates, delta_seq}: the
@@ -122,7 +123,7 @@ enum class ShardMessageType : uint16_t {
 // byte fails authentication rather than silently escalating). A writer
 // session is the coordinator: full protocol, its disconnect discards
 // the shard instance. A reader session may only observe — kPing /
-// kStats / kStatsEx / kSnapshot / kMigrateExtract — and its disconnect
+// kStatsEx / kMigrateExtract / kHeavyHitters — and its disconnect
 // never touches the instance.
 enum class ShardSessionRole : uint8_t {
   kWriter = 0,
@@ -188,9 +189,9 @@ Status SendFrameHeader(int fd, ShardMessageType type, uint64_t payload_bytes,
 Status SendFrameTrailer(int fd, const FrameCrc& crc);
 
 // Receives one frame into `frame` (payload buffer reused). Fails with
-// InvalidArgument on bad magic / version / type / oversized length /
-// checksum mismatch — all before any payload decode — and IoError on
-// EOF or a truncated payload.
+// InvalidArgument on bad magic / version / unknown or retired type /
+// oversized length / checksum mismatch — all before any payload
+// decode — and IoError on EOF or a truncated payload.
 Status RecvFrame(int fd, ShardFrame* frame);
 
 // RecvFrame with an explicit allocation cap, for contexts where the
@@ -200,7 +201,7 @@ Status RecvFrame(int fd, ShardFrame* frame);
 Status RecvFrameCapped(int fd, ShardFrame* frame, uint64_t max_payload);
 
 // The reader-session receive cap: every read-only request (PING,
-// STATS, STATS_EX, SNAPSHOT, MIGRATE_EXTRACT) fits with room to spare.
+// STATS_EX, MIGRATE_EXTRACT, HEAVY_HITTERS) fits with room to spare.
 constexpr uint64_t kReaderMaxRequestBytes = 4096;
 
 // Receives one *reply* frame and classifies it — the one reply-handling

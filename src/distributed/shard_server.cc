@@ -59,6 +59,66 @@ std::vector<uint8_t> BuildStatsEx(const ShardInstanceState& state) {
 
 }  // namespace
 
+class ShardServer::ReplySink {
+ public:
+  // Streams every reply straight to `fd`.
+  explicit ReplySink(int fd) : fd_(fd) {}
+  // Gathers the reply into `buffer`, whose capacity carries over.
+  explicit ReplySink(std::vector<uint8_t>* buffer) : buffer_(buffer) {}
+
+  // A whole reply at once.
+  Status Reply(ShardMessageType type, const std::vector<uint8_t>& payload) {
+    type_ = type;
+    if (buffer_ == nullptr) {
+      return SendFrame(fd_, type, payload.data(), payload.size());
+    }
+    buffer_->assign(payload.begin(), payload.end());
+    return Status::Ok();
+  }
+  Status Error(const Status& error) {
+    return Reply(ShardMessageType::kError, EncodeShardError(error));
+  }
+
+  // A reply of `payload_bytes` known up front, produced by Write()
+  // pieces and closed by End(). The frame checksum accumulates
+  // alongside a socket stream.
+  Status Begin(ShardMessageType type, uint64_t payload_bytes) {
+    type_ = type;
+    if (buffer_ == nullptr) {
+      return SendFrameHeader(fd_, type, payload_bytes, &crc_);
+    }
+    buffer_->clear();
+    buffer_->reserve(payload_bytes);
+    return Status::Ok();
+  }
+  Status Write(const void* data, size_t size) {
+    if (buffer_ == nullptr) {
+      crc_.Fold(data, size);
+      return WriteFull(fd_, data, size);
+    }
+    const uint8_t* p = static_cast<const uint8_t*>(data);
+    buffer_->insert(buffer_->end(), p, p + size);
+    return Status::Ok();
+  }
+  Status End() {
+    return buffer_ == nullptr ? SendFrameTrailer(fd_, crc_) : Status::Ok();
+  }
+  // The producer of a begun reply failed: a gathered reply becomes the
+  // kError, while a half-streamed frame has lost framing for good.
+  Status Abort(const Status& error) {
+    return buffer_ == nullptr ? error : Error(error);
+  }
+
+  // Type of the last reply (what a gathered one is sent as).
+  ShardMessageType type() const { return type_; }
+
+ private:
+  int fd_ = -1;
+  std::vector<uint8_t>* buffer_ = nullptr;
+  ShardMessageType type_ = ShardMessageType::kError;
+  FrameCrc crc_;
+};
+
 Status ShardServer::ReplyAck(uint64_t value0, uint64_t value1) {
   ShardAck ack;
   ack.value0 = value0;
@@ -183,26 +243,6 @@ Status ShardServer::HandleUpdateBatch(const ShardFrame& frame) {
   return Status::Ok();
 }
 
-Status ShardServer::HandleSnapshot() {
-  // Stream the reply: frame length is known from the params alone, then
-  // records flow store -> scratch sketch -> socket one at a time, so
-  // even an out-of-core shard never materializes its snapshot. The
-  // checksum accumulates alongside the stream and closes the frame.
-  const uint64_t bytes =
-      GraphSnapshot::SerializedSizeFor(state_->gz->sketch_params());
-  FrameCrc crc;
-  Status s =
-      SendFrameHeader(fd_, ShardMessageType::kSnapshotBytes, bytes, &crc);
-  if (!s.ok()) return s;
-  s = state_->gz->WriteSnapshotTo(
-      [this, &crc](const void* data, size_t size) {
-        crc.Fold(data, size);
-        return WriteFull(fd_, data, size);
-      });
-  if (!s.ok()) return s;
-  return SendFrameTrailer(fd_, crc);
-}
-
 Status ShardServer::HandleCheckpoint(const ShardFrame& frame) {
   const std::string path(
       reinterpret_cast<const char*>(frame.payload.data()),
@@ -262,33 +302,6 @@ Status ShardServer::HandleEpoch(const ShardFrame& frame) {
   return ReplyAck(state_->gz->num_updates_ingested(), state_->delta_seq);
 }
 
-Status ShardServer::HandleMigrateExtract(const ShardFrame& frame) {
-  uint64_t lo = 0, hi = 0;
-  Status s = DecodeMigrateExtract(frame.payload.data(),
-                                  frame.payload.size(), &lo, &hi);
-  if (!s.ok()) return ReplyError(s);
-  if (!(lo < hi && hi <= state_->gz->config().num_nodes)) {
-    return ReplyError(
-        Status::InvalidArgument("migrate-extract range out of bounds"));
-  }
-  // Read-only: extraction mutates nothing, so the coordinator can
-  // retry it freely after any failure. The flush inside
-  // WriteNodeRangeTo guarantees every update framed before this
-  // request is inside the extracted bytes.
-  const uint64_t bytes = GraphSnapshot::SerializedRangeSizeFor(
-      state_->gz->sketch_params(), lo, hi);
-  FrameCrc crc;
-  s = SendFrameHeader(fd_, ShardMessageType::kMigrateData, bytes, &crc);
-  if (!s.ok()) return s;
-  s = state_->gz->WriteNodeRangeTo(
-      lo, hi, [this, &crc](const void* data, size_t size) {
-        crc.Fold(data, size);
-        return WriteFull(fd_, data, size);
-      });
-  if (!s.ok()) return s;
-  return SendFrameTrailer(fd_, crc);
-}
-
 Status ShardServer::HandleMergeDelta(const ShardFrame& frame) {
   Status s = state_->gz->MergeSerializedNodeRange(frame.payload.data(),
                                                   frame.payload.size());
@@ -312,137 +325,87 @@ Status ShardServer::HandleSyncPosition(const ShardFrame& frame) {
   return ReplyAck(state_->gz->num_updates_ingested(), state_->delta_seq);
 }
 
-Status ShardServer::HandleStatsEx() {
-  const std::vector<uint8_t> payload = BuildStatsEx(*state_);
-  return SendFrame(fd_, ShardMessageType::kStatsReply, payload.data(),
-                   payload.size());
-}
-
-Status ShardServer::HandleHeavyHitters() {
-  const HeavyHitterSketch* hh = state_->gz->heavy_hitters();
-  if (hh == nullptr) {
-    return ReplyError(Status::FailedPrecondition(
-        "heavy-hitter tracking disabled (heavy_hitter_width == 0)"));
+Status ShardServer::ServeReadOnly(const ShardFrame& frame,
+                                  ReplySink* sink) {
+  if (state_->gz == nullptr) {
+    return sink->Error(Status::FailedPrecondition("shard not configured"));
   }
-  const std::vector<uint8_t> payload = hh->Serialize();
-  return SendFrame(fd_, ShardMessageType::kHeavyHitterBytes, payload.data(),
-                   payload.size());
+  // A diverged shard must neither donate state nor serve stale answers.
+  if (!state_->async_error.ok()) return sink->Error(state_->async_error);
+  switch (frame.type) {
+    case ShardMessageType::kStatsEx:
+      return sink->Reply(ShardMessageType::kStatsReply,
+                         BuildStatsEx(*state_));
+    case ShardMessageType::kHeavyHitters: {
+      const HeavyHitterSketch* hh = state_->gz->heavy_hitters();
+      if (hh == nullptr) {
+        return sink->Error(Status::FailedPrecondition(
+            "heavy-hitter tracking disabled (heavy_hitter_width == 0)"));
+      }
+      return sink->Reply(ShardMessageType::kHeavyHitterBytes,
+                         hh->Serialize());
+    }
+    case ShardMessageType::kMigrateExtract: {
+      uint64_t lo = 0, hi = 0;
+      Status s = DecodeMigrateExtract(frame.payload.data(),
+                                      frame.payload.size(), &lo, &hi);
+      if (s.ok() && !(lo < hi && hi <= state_->gz->config().num_nodes)) {
+        s = Status::InvalidArgument("migrate-extract range out of bounds");
+      }
+      if (!s.ok()) return sink->Error(s);
+      // Read-only: extraction mutates nothing, so the coordinator can
+      // retry it freely after any failure. The flush inside
+      // WriteNodeRangeTo guarantees every update framed before this
+      // request is inside the extracted bytes. The frame length is
+      // known from the params alone, so records flow store -> sink in
+      // arena-sized pieces.
+      s = sink->Begin(ShardMessageType::kMigrateData,
+                      GraphSnapshot::SerializedRangeSizeFor(
+                          state_->gz->sketch_params(), lo, hi));
+      if (!s.ok()) return s;
+      s = state_->gz->WriteNodeRangeTo(
+          lo, hi,
+          [sink](const void* data, size_t size) {
+            return sink->Write(data, size);
+          });
+      return s.ok() ? sink->End() : sink->Abort(s);
+    }
+    default:
+      return sink->Error(Status::Internal("not a read-only request"));
+  }
 }
 
 Status ShardServer::ServeReaderFrame(const ShardFrame& frame) {
-  // Materialize the whole reply under the instance mutex, send it
-  // after release: a reader with a full socket buffer must stall on
-  // its OWN send deadline, never while holding the lock the writer's
-  // ingest path needs. Snapshot and range replies are written into
-  // this session's reused buffer (the store's records in arena-sized
-  // pieces); the small replies are built fresh.
-  ShardMessageType reply_type = ShardMessageType::kError;
-  std::vector<uint8_t> small;
-  const std::vector<uint8_t>* reply = &small;
-  const auto fail = [&](const Status& error) {
-    reply_type = ShardMessageType::kError;
-    small = EncodeShardError(error);
-    reply = &small;
-  };
-  const auto append = [this](const void* data, size_t size) {
-    const uint8_t* p = static_cast<const uint8_t*>(data);
-    reader_reply_.insert(reader_reply_.end(), p, p + size);
-    return Status::Ok();
-  };
+  // Produce the whole reply under the instance mutex, send it after
+  // release: a reader with a full socket buffer must stall on its OWN
+  // send deadline, never while holding the lock the writer's ingest
+  // path needs. A gathering sink cannot fail, so only the send can.
+  ReplySink sink(&reader_reply_);
   {
     std::lock_guard<std::mutex> lock(state_->mutex);
-    const bool needs_instance = frame.type != ShardMessageType::kPing;
-    if (frame.type != ShardMessageType::kPing &&
-        frame.type != ShardMessageType::kStats &&
-        frame.type != ShardMessageType::kStatsEx &&
-        frame.type != ShardMessageType::kSnapshot &&
-        frame.type != ShardMessageType::kMigrateExtract &&
-        frame.type != ShardMessageType::kHeavyHitters) {
-      // The read-only contract: a reader cannot configure, ingest,
-      // migrate state in, checkpoint, or retire the shard. The session
-      // survives — a confused client gets errors, not a dead socket.
-      fail(Status::FailedPrecondition(
-          "read-only session: frame type " +
-          std::to_string(static_cast<uint16_t>(frame.type)) +
-          " requires the writer session"));
-    } else if (needs_instance && state_->gz == nullptr) {
-      fail(Status::FailedPrecondition("shard not configured"));
-    } else if (needs_instance && !state_->async_error.ok()) {
-      // A diverged shard must not serve answers as if current.
-      fail(state_->async_error);
-    } else {
-      switch (frame.type) {
-        case ShardMessageType::kPing:
-          reply_type = ShardMessageType::kAck;
-          small = EncodeShardAck(ShardAck{0, 0});
-          break;
-        case ShardMessageType::kStats: {
-          reply_type = ShardMessageType::kAck;
-          small = EncodeShardAck(
-              ShardAck{state_->gz->num_updates_ingested(),
-                       state_->gz->RamByteSize()});
-          break;
-        }
-        case ShardMessageType::kStatsEx:
-          reply_type = ShardMessageType::kStatsReply;
-          small = BuildStatsEx(*state_);
-          break;
-        case ShardMessageType::kSnapshot: {
-          reader_reply_.clear();  // Keeps capacity.
-          reader_reply_.reserve(GraphSnapshot::SerializedSizeFor(
-              state_->gz->sketch_params()));
-          const Status s = state_->gz->WriteSnapshotTo(append);
-          if (!s.ok()) {
-            fail(s);
-          } else {
-            reply_type = ShardMessageType::kSnapshotBytes;
-            reply = &reader_reply_;
-          }
-          break;
-        }
-        case ShardMessageType::kHeavyHitters: {
-          const HeavyHitterSketch* hh = state_->gz->heavy_hitters();
-          if (hh == nullptr) {
-            fail(Status::FailedPrecondition(
-                "heavy-hitter tracking disabled (heavy_hitter_width == "
-                "0)"));
-          } else {
-            reply_type = ShardMessageType::kHeavyHitterBytes;
-            small = hh->Serialize();
-          }
-          break;
-        }
-        case ShardMessageType::kMigrateExtract: {
-          uint64_t lo = 0, hi = 0;
-          Status s = DecodeMigrateExtract(frame.payload.data(),
-                                          frame.payload.size(), &lo, &hi);
-          if (s.ok() && !(lo < hi && hi <= state_->gz->config().num_nodes)) {
-            s = Status::InvalidArgument(
-                "migrate-extract range out of bounds");
-          }
-          if (!s.ok()) {
-            fail(s);
-            break;
-          }
-          reader_reply_.clear();  // Keeps capacity.
-          reader_reply_.reserve(GraphSnapshot::SerializedRangeSizeFor(
-              state_->gz->sketch_params(), lo, hi));
-          s = state_->gz->WriteNodeRangeTo(lo, hi, append);
-          if (!s.ok()) {
-            fail(s);
-          } else {
-            reply_type = ShardMessageType::kMigrateData;
-            reply = &reader_reply_;
-          }
-          break;
-        }
-        default:
-          fail(Status::Internal("unreachable reader frame"));
-          break;
-      }
+    switch (frame.type) {
+      case ShardMessageType::kPing:
+        (void)sink.Reply(ShardMessageType::kAck, EncodeShardAck(ShardAck{}));
+        break;
+      case ShardMessageType::kStatsEx:
+      case ShardMessageType::kHeavyHitters:
+      case ShardMessageType::kMigrateExtract:
+        (void)ServeReadOnly(frame, &sink);
+        break;
+      default:
+        // The read-only contract: a reader cannot configure, ingest,
+        // migrate state in, checkpoint, or retire the shard. The
+        // session survives — a confused client gets errors, not a dead
+        // socket.
+        (void)sink.Error(Status::FailedPrecondition(
+            "read-only session: frame type " +
+            std::to_string(static_cast<uint16_t>(frame.type)) +
+            " requires the writer session"));
+        break;
     }
   }
-  return SendFrame(fd_, reply_type, reply->data(), reply->size());
+  return SendFrame(fd_, sink.type(), reader_reply_.data(),
+                   reader_reply_.size());
 }
 
 Status ShardServer::ServeSubscription(std::vector<uint8_t> last_notified) {
@@ -618,20 +581,15 @@ Status ShardServer::Serve() {
     // barrier consumed it, a retried CHECKPOINT would succeed, the
     // coordinator would truncate its unacked log (the only copy of the
     // dropped updates), and the divergence would become silently
-    // unrecoverable. Migration and serving frames are gated too: a
-    // diverged shard must neither donate state nor serve stale
-    // watermarks.
+    // unrecoverable. Migration frames are gated too, and so are the
+    // read-only ones (inside ServeReadOnly): a diverged shard must
+    // neither donate state nor serve stale watermarks.
     if (!state_->async_error.ok() &&
         (frame.type == ShardMessageType::kFlush ||
-         frame.type == ShardMessageType::kSnapshot ||
          frame.type == ShardMessageType::kCheckpoint ||
-         frame.type == ShardMessageType::kStats ||
-         frame.type == ShardMessageType::kStatsEx ||
          frame.type == ShardMessageType::kEpoch ||
-         frame.type == ShardMessageType::kMigrateExtract ||
          frame.type == ShardMessageType::kMergeDelta ||
-         frame.type == ShardMessageType::kSyncPosition ||
-         frame.type == ShardMessageType::kHeavyHitters)) {
+         frame.type == ShardMessageType::kSyncPosition)) {
       s = ReplyError(state_->async_error);
       if (!s.ok()) return s;
       continue;
@@ -647,36 +605,27 @@ Status ShardServer::Serve() {
         state_->gz->Flush();
         s = ReplyAck(state_->gz->num_updates_ingested());
         break;
-      case ShardMessageType::kSnapshot:
-        s = HandleSnapshot();
-        break;
       case ShardMessageType::kCheckpoint:
         s = HandleCheckpoint(frame);
         break;
-      case ShardMessageType::kStats:
-        s = ReplyAck(state_->gz->num_updates_ingested(),
-                     state_->gz->RamByteSize());
-        break;
       case ShardMessageType::kStatsEx:
-        s = HandleStatsEx();
+      case ShardMessageType::kHeavyHitters:
+      case ShardMessageType::kMigrateExtract: {
+        ReplySink sink(fd_);
+        s = ServeReadOnly(frame, &sink);
         break;
+      }
       case ShardMessageType::kPing:
         s = ReplyAck(0);
         break;
       case ShardMessageType::kEpoch:
         s = HandleEpoch(frame);
         break;
-      case ShardMessageType::kMigrateExtract:
-        s = HandleMigrateExtract(frame);
-        break;
       case ShardMessageType::kMergeDelta:
         s = HandleMergeDelta(frame);
         break;
       case ShardMessageType::kSyncPosition:
         s = HandleSyncPosition(frame);
-        break;
-      case ShardMessageType::kHeavyHitters:
-        s = HandleHeavyHitters();
         break;
       case ShardMessageType::kSubscribe:
         // Subscriptions are a reader-session feature: converting the

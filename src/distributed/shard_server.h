@@ -6,9 +6,9 @@
 //
 // Sessions come in two roles (see ShardSessionRole): a *writer* — the
 // coordinator, full protocol — and *readers*, which may only observe
-// (PING / STATS / STATS_EX / SNAPSHOT / MIGRATE_EXTRACT /
-// HEAVY_HITTERS; anything else draws a kError and the session
-// continues). One ShardServer serves
+// (PING / STATS_EX / MIGRATE_EXTRACT / HEAVY_HITTERS; anything else
+// draws a kError and the session continues). Both roles serve the three
+// read-only requests through one function. One ShardServer serves
 // one session; when several sessions share a shard (the multi-session
 // listener, shard_listener.h), they share one ShardInstanceState and
 // every access to the instance goes through its mutex.
@@ -137,23 +137,31 @@ class ShardServer {
   Status Serve();
 
  private:
-  // Handlers reply on fd_ and return a non-OK status only when the
-  // connection is no longer usable. All of them are called with
-  // state_->mutex held; the reader-session handlers below materialize
-  // their reply under the lock and stream it after release.
+  // Where a reply goes: streamed to the socket as it is produced, or
+  // gathered into a buffer (see shard_server.cc).
+  class ReplySink;
+
+  // Writer-session handlers reply on fd_ and return a non-OK status
+  // only when the connection is no longer usable. All of them are
+  // called with state_->mutex held.
   Status HandleConfig(const ShardFrame& frame);
   Status HandleUpdateBatch(const ShardFrame& frame);
-  Status HandleSnapshot();
   Status HandleCheckpoint(const ShardFrame& frame);
   Status HandleEpoch(const ShardFrame& frame);
-  Status HandleMigrateExtract(const ShardFrame& frame);
   Status HandleMergeDelta(const ShardFrame& frame);
   Status HandleSyncPosition(const ShardFrame& frame);
-  Status HandleStatsEx();
-  Status HandleHeavyHitters();
 
-  // One reader request: dispatch + materialize under the lock, stream
-  // outside it (a slow reader must not hold the instance hostage).
+  // The one server of the read-only requests — kStatsEx, kHeavyHitters
+  // and kMigrateExtract — on either session: refuses an unconfigured or
+  // diverged instance, decodes and validates the request, and produces
+  // the reply (or a kError) into `sink`. The writer session streams to
+  // the socket, so an out-of-core shard never materializes a range; a
+  // reader session gathers into reader_reply_. Caller holds
+  // state_->mutex. Non-OK only when the sink's connection is unusable.
+  Status ServeReadOnly(const ShardFrame& frame, ReplySink* sink);
+
+  // One reader request: produce the reply under the lock, send it
+  // after release (a slow reader must not hold the instance hostage).
   Status ServeReaderFrame(const ShardFrame& frame);
 
   // The notify stream a reader session becomes after kSubscribe: waits
@@ -175,8 +183,8 @@ class ShardServer {
   ShardSessionRole role_ = ShardSessionRole::kWriter;
   bool handshaken_ = false;
   int reader_timeout_seconds_ = 30;
-  // A reader session's SNAPSHOT / MIGRATE_EXTRACT reply, reused across
-  // its requests so a steady refresh cadence allocates nothing.
+  // A reader session's reply, reused across its requests so a steady
+  // refresh cadence allocates nothing.
   std::vector<uint8_t> reader_reply_;
 };
 

@@ -1,8 +1,7 @@
 // Sliding-window connectivity: `connected(u, v) within the last W
 // observations` answered by the UNCHANGED sketch stack. The window
 // layer sits in front of any ingestion surface (GraphZeppelin,
-// ShardedGraphZeppelin, ShardCluster — anything that takes GraphUpdate
-// spans): it records each observed edge in a W-slot ring and, when an
+// ShardCluster — anything that takes GraphUpdate spans): it records each observed edge in a W-slot ring and, when an
 // observation falls out of the ring, issues the expiring DELETE through
 // the same span. Downstream, the instance simply holds the windowed
 // graph, so every existing query — snapshot folds, Boruvka, standing

@@ -9,7 +9,6 @@
 #include "algos/bipartiteness.h"
 #include "algos/bridges.h"
 #include "core/connectivity.h"
-#include "distributed/sharded_graph_zeppelin.h"
 #include "dsu/dsu.h"
 #include "sketch/cube_sketch.h"
 #include "sketch/l0_standard.h"
@@ -185,18 +184,21 @@ TEST_P(ExhaustiveShardedTest, ShardedMatchesDsuOnAllFourNodeGraphs) {
   config.seed = 501;
   config.num_workers = 1;
   config.disk_dir = ::testing::TempDir();
-  ShardedGraphZeppelin sharded(config, 3, OnSubstrate(GetParam(), 3));
-  ASSERT_TRUE(sharded.Init().ok());
+  ShardCluster sharded(config, 3, OnSubstrate(GetParam(), 3));
+  ASSERT_TRUE(sharded.Start().ok());
 
+  std::vector<GraphUpdate> span;
   for (uint32_t mask = 0; mask < 64; ++mask) {
     Dsu truth(n);
+    span.clear();
     for (uint64_t idx = 0; idx < 6; ++idx) {
       if (!(mask & (1u << idx))) continue;
       const Edge e = IndexToEdge(idx, n);
-      sharded.Update({e, UpdateType::kInsert});
+      span.push_back({e, UpdateType::kInsert});
       truth.Union(e.u, e.v);
     }
-    const ConnectivityResult r = sharded.ListSpanningForest();
+    ASSERT_TRUE(sharded.Update(span.data(), span.size()).ok());
+    const ConnectivityResult r = ClusterForest(&sharded);
     ASSERT_FALSE(r.failed) << "mask " << mask;
     EXPECT_EQ(r.num_components, truth.num_sets()) << "mask " << mask;
     for (uint64_t i = 0; i < n; ++i) {
@@ -206,11 +208,7 @@ TEST_P(ExhaustiveShardedTest, ShardedMatchesDsuOnAllFourNodeGraphs) {
       }
     }
     // Toggle the mask back out: the next iteration starts empty.
-    for (uint64_t idx = 0; idx < 6; ++idx) {
-      if (mask & (1u << idx)) {
-        sharded.Update({IndexToEdge(idx, n), UpdateType::kInsert});
-      }
-    }
+    ASSERT_TRUE(sharded.Update(span.data(), span.size()).ok());
   }
 }
 

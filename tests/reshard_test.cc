@@ -26,7 +26,6 @@
 
 #include "core/graph_zeppelin.h"
 #include "distributed/shard_transport.h"
-#include "distributed/sharded_graph_zeppelin.h"
 #include "stream/erdos_renyi_generator.h"
 #include "tests/shard_substrate.h"
 #include "util/status.h"
@@ -79,7 +78,7 @@ std::vector<GraphUpdate> BuildChaosStream(uint64_t seed) {
 // One reshard operation, chosen to steer the active count toward
 // `target_shards` while staying inside [1, kMaxShards]; new shards go
 // to `endpoint`. Returns a human-readable label for failure messages.
-std::string RandomReshardOp(ShardedGraphZeppelin* sharded,
+std::string RandomReshardOp(ShardCluster* sharded,
                             std::mt19937_64* rng, int target_shards,
                             const std::string& endpoint) {
   const std::vector<int> active = sharded->ActiveShards();
@@ -139,8 +138,8 @@ TEST_P(ReshardChaosTest, FoldedSnapshotBitwiseEqualsSingleInstance) {
   options.migrate_nodes_per_chunk = 12;  // Many pump steps per reshard.
   SubstrateShards shards(substrate, "reshard-chaos-secret");
   options = shards.Place(schedule.start_shards, std::move(options));
-  ShardedGraphZeppelin sharded(base, schedule.start_shards, options);
-  ASSERT_TRUE(sharded.Init().ok());
+  ShardCluster sharded(base, schedule.start_shards, options);
+  ASSERT_TRUE(sharded.Start().ok());
 
   // Feed plan: the stream goes out in small bursts; reshard ops fire at
   // random burst indices, and while a migration is active one burst is
@@ -150,7 +149,7 @@ TEST_P(ReshardChaosTest, FoldedSnapshotBitwiseEqualsSingleInstance) {
   auto feed_burst = [&] {
     if (fed >= updates.size()) return false;
     const size_t count = std::min(burst, updates.size() - fed);
-    sharded.Update(updates.data() + fed, count);
+    EXPECT_TRUE(sharded.Update(updates.data() + fed, count).ok());
     fed += count;
     return true;
   };
@@ -202,7 +201,7 @@ TEST_P(ReshardChaosTest, FoldedSnapshotBitwiseEqualsSingleInstance) {
   ASSERT_TRUE(single.Init().ok());
   single.Update(updates.data(), updates.size());
 
-  GraphSnapshot folded = sharded.Snapshot();
+  GraphSnapshot folded = ClusterSnapshot(&sharded);
   GraphSnapshot expect = single.Snapshot();
   EXPECT_EQ(folded.num_updates(), updates.size());
   EXPECT_TRUE(folded == expect) << ::testing::PrintToString(op_log);

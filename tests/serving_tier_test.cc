@@ -29,7 +29,6 @@
 #include "distributed/shard_cluster.h"
 #include "distributed/shard_process.h"
 #include "distributed/shard_transport.h"
-#include "distributed/sharded_graph_zeppelin.h"
 #include "stream/erdos_renyi_generator.h"
 #include "tests/shard_substrate.h"
 #include "util/check.h"
@@ -93,19 +92,19 @@ TEST_P(ServingTierModeTest, CachedSnapshotBitwiseEqualsFullFold) {
   // answered with ZERO data pulls.
   ShardClusterOptions options;
   options.migrate_nodes_per_chunk = kChunk;
-  ShardedGraphZeppelin sharded(BaseConfig(21), 3,
-                               OnSubstrate(GetParam(), 3, options));
-  ASSERT_TRUE(sharded.Init().ok());
+  ShardCluster sharded(BaseConfig(21), 3,
+                       OnSubstrate(GetParam(), 3, options));
+  ASSERT_TRUE(sharded.Start().ok());
   const std::vector<GraphUpdate> updates = BuildStream(21);
   const size_t burst = updates.size() / 6 + 1;
   size_t fed = 0;
   const auto feed_burst = [&] {
     const size_t count = std::min(burst, updates.size() - fed);
-    sharded.Update(updates.data() + fed, count);
+    EXPECT_TRUE(sharded.Update(updates.data() + fed, count).ok());
     fed += count;
   };
   const auto check_pinned = [&](const char* step) {
-    GraphSnapshot full = sharded.Snapshot();
+    GraphSnapshot full = ClusterSnapshot(&sharded);
     const GraphSnapshot* cached = nullptr;
     Status s = sharded.CachedSnapshot(&cached);
     ASSERT_TRUE(s.ok()) << step << ": " << s.ToString();
@@ -147,11 +146,11 @@ TEST_P(ServingTierModeTest, DeltaRefreshPullsOnlyMovedShards) {
   // unmoved third shard contributes its cached content untouched.
   ShardClusterOptions options;
   options.migrate_nodes_per_chunk = kChunk;
-  ShardedGraphZeppelin sharded(BaseConfig(33), 3,
-                               OnSubstrate(GetParam(), 3, options));
-  ASSERT_TRUE(sharded.Init().ok());
+  ShardCluster sharded(BaseConfig(33), 3,
+                       OnSubstrate(GetParam(), 3, options));
+  ASSERT_TRUE(sharded.Start().ok());
   const std::vector<GraphUpdate> updates = BuildStream(33);
-  sharded.Update(updates.data(), updates.size());
+  ASSERT_TRUE(sharded.Update(updates.data(), updates.size()).ok());
 
   const GraphSnapshot* cached = nullptr;
   ASSERT_TRUE(sharded.CachedSnapshot(&cached).ok());
@@ -169,7 +168,7 @@ TEST_P(ServingTierModeTest, DeltaRefreshPullsOnlyMovedShards) {
       << "refresh must pull from the two moved shards, not all four";
   EXPECT_EQ(sharded.snapshot_cache().cold_builds(), 1u)
       << "a delta refresh must not rebuild from scratch";
-  GraphSnapshot full = sharded.Snapshot();
+  GraphSnapshot full = ClusterSnapshot(&sharded);
   EXPECT_TRUE(*cached == full);
 }
 
@@ -281,8 +280,8 @@ TEST_F(ServingTierTcpTest, ConcurrentReadersStayBitwiseExactThroughASplit) {
   options.auth_secret = kSecret;
   options.shard_endpoints = endpoints_;
   options.migrate_nodes_per_chunk = kChunk;
-  ShardedGraphZeppelin sharded(BaseConfig(77), 3, options);
-  ASSERT_TRUE(sharded.Init().ok());
+  ShardCluster sharded(BaseConfig(77), 3, options);
+  ASSERT_TRUE(sharded.Start().ok());
   // A fourth listener for the split target: the new shard must serve
   // readers too, so it gets a real endpoint rather than a local child.
   std::vector<std::string> grown_endpoints;
@@ -293,8 +292,8 @@ TEST_F(ServingTierTcpTest, ConcurrentReadersStayBitwiseExactThroughASplit) {
 
   const std::vector<GraphUpdate> updates = BuildStream(77);
   const size_t half = updates.size() / 2;
-  sharded.Update(updates.data(), half);
-  sharded.Flush();
+  ASSERT_TRUE(sharded.Update(updates.data(), half).ok());
+  ASSERT_TRUE(sharded.Flush().ok());
 
   // Quiesced bitwise pin, reader vs coordinator.
   QuerySession session(ReaderOptions());
@@ -303,7 +302,7 @@ TEST_F(ServingTierTcpTest, ConcurrentReadersStayBitwiseExactThroughASplit) {
   Status s = session.Snapshot(&served);
   ASSERT_TRUE(s.ok()) << s.ToString();
   {
-    GraphSnapshot full = sharded.Snapshot();
+    GraphSnapshot full = ClusterSnapshot(&sharded);
     EXPECT_TRUE(*served == full);
     EXPECT_EQ(served->num_updates(), full.num_updates());
   }
@@ -355,17 +354,17 @@ TEST_F(ServingTierTcpTest, ConcurrentReadersStayBitwiseExactThroughASplit) {
   while (sharded.migration_active()) {
     const size_t count = std::min<size_t>(64, updates.size() - fed);
     if (count > 0) {
-      sharded.Update(updates.data() + fed, count);
+      EXPECT_TRUE(sharded.Update(updates.data() + fed, count).ok());
       fed += count;
     }
     ASSERT_TRUE(sharded.PumpMigration().ok());
   }
   while (fed < updates.size()) {
     const size_t count = std::min<size_t>(256, updates.size() - fed);
-    sharded.Update(updates.data() + fed, count);
+    EXPECT_TRUE(sharded.Update(updates.data() + fed, count).ok());
     fed += count;
   }
-  sharded.Flush();
+  EXPECT_TRUE(sharded.Flush().ok());
   stop.store(true);
   for (std::thread& t : readers) t.join();
   EXPECT_GT(served_ok.load(), 0) << "no reader ever served an answer";
@@ -381,12 +380,12 @@ TEST_F(ServingTierTcpTest, ConcurrentReadersStayBitwiseExactThroughASplit) {
   ASSERT_TRUE(grown_session.Connect().ok());
   s = grown_session.Snapshot(&served);
   ASSERT_TRUE(s.ok()) << s.ToString();
-  GraphSnapshot full = sharded.Snapshot();
+  GraphSnapshot full = ClusterSnapshot(&sharded);
   EXPECT_TRUE(*served == full);
   EXPECT_EQ(served->num_updates(), updates.size());
 
   // And the writer path survived every reader drill above.
-  const ConnectivityResult coord = sharded.ListSpanningForest();
+  const ConnectivityResult coord = ClusterForest(&sharded);
   const ConnectivityResult reader_cc = Connectivity(*served, 1);
   ASSERT_FALSE(coord.failed);
   ASSERT_FALSE(reader_cc.failed);

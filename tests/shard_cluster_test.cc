@@ -324,6 +324,116 @@ TEST_P(ShardClusterTest, StatsReportPerShardStreamPositions) {
   ASSERT_TRUE(cluster.Shutdown().ok());
 }
 
+TEST_P(ShardClusterTest, SameSeedClustersInOneProcessKeepTheirCheckpoints) {
+  // Two same-seed clusters in one process, one checkpoint_dir: each
+  // checkpoint file must stay its own cluster's. Destroying one cluster
+  // (which unlinks its checkpoints) must leave the other's restorable.
+  const uint64_t n = 64;
+  ErdosRenyiParams ep;
+  ep.num_nodes = n;
+  ep.p = 0.1;
+  ep.seed = 41;
+  const EdgeList edges = ErdosRenyiGenerator(ep).Generate();
+  const std::vector<GraphUpdate> updates = ToggleStream(edges, 3);
+  const GraphZeppelinConfig base = BaseConfig(n, 43);
+  ShardClusterOptions options;
+  options.checkpoint_dir = ::testing::TempDir();
+
+  ShardCluster survivor(base, 2, shards_.Place(2, options));
+  ASSERT_TRUE(survivor.Start().ok());
+  ASSERT_TRUE(survivor.Update(updates.data(), updates.size()).ok());
+  ASSERT_TRUE(survivor.Checkpoint().ok());
+  {
+    SubstrateShards other_shards(GetParam());
+    ShardCluster doomed(base, 2, other_shards.Place(2, options));
+    ASSERT_TRUE(doomed.Start().ok());
+    // A different stream, so a clobbered checkpoint cannot pass.
+    ASSERT_TRUE(doomed.Update(updates.data(), updates.size() / 2).ok());
+    ASSERT_TRUE(doomed.Checkpoint().ok());
+  }  // Removes its own checkpoints.
+
+  for (const int shard : {0, 1}) {
+    EXPECT_EQ(survivor.unacked_updates(shard), 0u);
+    survivor.KillShard(shard);
+    const Status s = survivor.RestartShard(shard);
+    ASSERT_TRUE(s.ok()) << s.ToString();
+  }
+  Result<GraphSnapshot> folded = survivor.Snapshot();
+  ASSERT_TRUE(folded.ok()) << folded.status().ToString();
+  EXPECT_TRUE(folded.value() == SingleProcessSnapshot(base, updates));
+  ASSERT_TRUE(survivor.Shutdown().ok());
+}
+
+TEST_P(ShardClusterTest, SnapshotBitwiseThroughSplitRemoveAndReplicaRestart) {
+  // Snapshot() folds count-free range reads and takes its update count
+  // from the coordinator's watermarks. Through a live split, a replica
+  // kill + restart and a live removal, it must stay bitwise equal —
+  // update count included — to one instance fed the same prefix.
+  const uint64_t n = 96;
+  ErdosRenyiParams ep;
+  ep.num_nodes = n;
+  ep.p = 0.08;
+  ep.seed = 57;
+  const EdgeList edges = ErdosRenyiGenerator(ep).Generate();
+  const std::vector<GraphUpdate> updates = ToggleStream(edges, 3);
+  const GraphZeppelinConfig base = BaseConfig(n, 59);
+  ShardClusterOptions options;
+  options.replication_factor = 2;
+  options.migrate_nodes_per_chunk = 16;
+  ShardCluster cluster(base, 3, shards_.Place(3, options));
+  ASSERT_TRUE(cluster.Start().ok());
+
+  size_t fed = 0;
+  const auto feed = [&](size_t count) {
+    count = std::min(count, updates.size() - fed);
+    ASSERT_TRUE(cluster.Update(updates.data() + fed, count).ok());
+    fed += count;
+  };
+  const auto expect_bitwise = [&](const char* step) {
+    Result<GraphSnapshot> folded = cluster.Snapshot();
+    ASSERT_TRUE(folded.ok()) << step << ": " << folded.status().ToString();
+    const std::vector<GraphUpdate> prefix(updates.begin(),
+                                          updates.begin() + fed);
+    EXPECT_EQ(folded.value().num_updates(), fed) << step;
+    EXPECT_TRUE(folded.value() == SingleProcessSnapshot(base, prefix))
+        << step;
+  };
+  const size_t quarter = updates.size() / 4;
+
+  feed(quarter);
+  expect_bitwise("first quarter");
+
+  const std::string grow = shards_.Grow() + "," + shards_.Grow();
+  ASSERT_TRUE(cluster.BeginSplitShard(0, grow).ok());
+  while (cluster.migration_active()) {
+    feed(32);
+    ASSERT_TRUE(cluster.PumpMigration().ok());
+    expect_bitwise("mid-split");
+  }
+  expect_bitwise("after split");
+
+  ASSERT_TRUE(cluster.Checkpoint().ok());
+  feed(quarter);
+  cluster.KillReplica(1, 1);
+  feed(quarter);
+  expect_bitwise("replica down");  // Folded from the live replica.
+  ASSERT_TRUE(cluster.RestartReplica(1, 1).ok());
+  cluster.KillReplica(1, 0);  // The restarted replica alone serves.
+  expect_bitwise("after replica restart");
+  ASSERT_TRUE(cluster.RestartReplica(1, 0).ok());
+
+  ASSERT_TRUE(cluster.BeginRemoveShard(2).ok());
+  while (cluster.migration_active()) {
+    feed(32);
+    ASSERT_TRUE(cluster.PumpMigration().ok());
+  }
+  expect_bitwise("after remove");
+  feed(updates.size());
+  ASSERT_EQ(fed, updates.size());
+  expect_bitwise("stream done");
+  ASSERT_TRUE(cluster.Shutdown().ok());
+}
+
 // ---- Elastic resharding ---------------------------------------------------
 
 TEST_P(ShardClusterTest, RemoveShardUnderLoadMatchesBitwise) {

@@ -9,7 +9,9 @@
 
 #include <cstdlib>
 #include <cstring>
+#include <initializer_list>
 #include <thread>
+#include <utility>
 
 #include <sys/socket.h>
 #include <unistd.h>
@@ -64,6 +66,17 @@ void WriteRawHeader(int fd, uint16_t type, uint64_t payload_bytes,
   ASSERT_TRUE(WriteFull(fd, buf, sizeof(buf)).ok());
 }
 
+// The retired whole-snapshot request (4), two-u64 stats request (6) and
+// whole-snapshot reply (10): inside the type range, yet no message.
+constexpr uint16_t kRetiredTypes[] = {4, 6, 10};
+
+bool IsRetiredType(uint16_t type) {
+  for (const uint16_t retired : kRetiredTypes) {
+    if (type == retired) return true;
+  }
+  return false;
+}
+
 // ---- Frame round trips ----------------------------------------------------
 
 TEST(ShardProtocolTest, EveryMessageTypeRoundTrips) {
@@ -72,6 +85,7 @@ TEST(ShardProtocolTest, EveryMessageTypeRoundTrips) {
   ShardFrame frame;
   for (uint16_t t = static_cast<uint16_t>(ShardMessageType::kConfig);
        t <= static_cast<uint16_t>(ShardMessageType::kStatsReply); ++t) {
+    if (IsRetiredType(t)) continue;  // RecvFrame rejects these.
     const ShardMessageType type = static_cast<ShardMessageType>(t);
     ASSERT_TRUE(SendFrame(sp.a(), type, payload, sizeof(payload)).ok());
     ASSERT_TRUE(RecvFrame(sp.b(), &frame).ok());
@@ -107,13 +121,27 @@ TEST(ShardProtocolTest, ScatterGatherSendMatchesPlainSend) {
   EXPECT_EQ(frame.payload[6], 23);
 }
 
+TEST(ShardProtocolTest, RetiredFrameTypesAreRejectedBeforeDecode) {
+  for (const uint16_t t : kRetiredTypes) {
+    SocketPair sp;
+    const uint8_t payload[3] = {1, 2, 3};
+    ASSERT_TRUE(SendFrame(sp.a(), static_cast<ShardMessageType>(t), payload,
+                          sizeof(payload))
+                    .ok());
+    ShardFrame frame;
+    const Status s = RecvFrame(sp.b(), &frame);
+    EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << "type " << t;
+    EXPECT_NE(s.message().find("retired"), std::string::npos) << "type " << t;
+  }
+}
+
 TEST(ShardProtocolTest, HeaderThenStreamedPayloadRoundTrips) {
-  // The shard's snapshot reply path: header first, payload streamed in
+  // The shard's range reply path: header first, payload streamed in
   // pieces afterwards, checksum accumulated alongside and sent last.
   SocketPair sp;
   FrameCrc crc;
   ASSERT_TRUE(
-      SendFrameHeader(sp.a(), ShardMessageType::kSnapshotBytes, 6, &crc)
+      SendFrameHeader(sp.a(), ShardMessageType::kMigrateData, 6, &crc)
           .ok());
   crc.Fold("abc", 3);
   ASSERT_TRUE(WriteFull(sp.a(), "abc", 3).ok());
@@ -122,7 +150,7 @@ TEST(ShardProtocolTest, HeaderThenStreamedPayloadRoundTrips) {
   ASSERT_TRUE(SendFrameTrailer(sp.a(), crc).ok());
   ShardFrame frame;
   ASSERT_TRUE(RecvFrame(sp.b(), &frame).ok());
-  EXPECT_EQ(frame.type, ShardMessageType::kSnapshotBytes);
+  EXPECT_EQ(frame.type, ShardMessageType::kMigrateData);
   EXPECT_EQ(std::string(frame.payload.begin(), frame.payload.end()),
             "abcdef");
 }
@@ -133,7 +161,7 @@ TEST(ShardProtocolTest, StreamedFrameWithWrongCrcIsRejected) {
   SocketPair sp;
   FrameCrc crc;
   ASSERT_TRUE(
-      SendFrameHeader(sp.a(), ShardMessageType::kSnapshotBytes, 3, &crc)
+      SendFrameHeader(sp.a(), ShardMessageType::kMigrateData, 3, &crc)
           .ok());
   crc.Fold("abc", 3);
   ASSERT_TRUE(WriteFull(sp.a(), "abX", 3).ok());  // Wrote differently.
@@ -433,10 +461,10 @@ TEST_F(ShardServerFixture, RequestBeforeConfigIsErrorNotCrash) {
   // The server survived; configure and use it normally.
   Configure();
   ASSERT_TRUE(
-      SendFrame(sp_.a(), ShardMessageType::kStats, nullptr, 0).ok());
+      SendFrame(sp_.a(), ShardMessageType::kStatsEx, nullptr, 0).ok());
   ShardFrame frame;
   ASSERT_TRUE(RecvFrame(sp_.a(), &frame).ok());
-  EXPECT_EQ(frame.type, ShardMessageType::kAck);
+  EXPECT_EQ(frame.type, ShardMessageType::kStatsReply);
 }
 
 TEST_F(ShardServerFixture, MalformedConfigPayloadIsErrorNotCrash) {
@@ -484,10 +512,10 @@ TEST_F(ShardServerFixture, OutOfRangeUpdateDropsBatchAndPoisonsBarriers) {
   bad.type = UpdateType::kInsert;
   SendUpdateBatch(&bad, sizeof(bad));
   ASSERT_TRUE(
-      SendFrame(sp_.a(), ShardMessageType::kStats, nullptr, 0).ok());
+      SendFrame(sp_.a(), ShardMessageType::kStatsEx, nullptr, 0).ok());
   ExpectErrorReply(StatusCode::kInvalidArgument);
   ASSERT_TRUE(
-      SendFrame(sp_.a(), ShardMessageType::kStats, nullptr, 0).ok());
+      SendFrame(sp_.a(), ShardMessageType::kStatsEx, nullptr, 0).ok());
   ExpectErrorReply(StatusCode::kInvalidArgument);  // Sticky.
 }
 
@@ -568,6 +596,28 @@ TEST_F(ShardServerFixture, VersionMismatchTerminatesServeWithErrorReply) {
   stopped_ = true;
 }
 
+TEST_F(ShardServerFixture, RetiredFrameTypesEndTheWriterSession) {
+  // Framing-level rejection: a best-effort error reply, then Serve()
+  // exits — the same handling as any unknown type.
+  for (const uint16_t t : kRetiredTypes) {
+    sp_.Reset();
+    stopped_ = false;
+    StartServer();
+    Configure();
+    ASSERT_TRUE(
+        SendFrame(sp_.a(), static_cast<ShardMessageType>(t), nullptr, 0)
+            .ok());
+    ExpectErrorReply(StatusCode::kInvalidArgument);
+    // Serve() has already returned; a hang-up here would end a session
+    // that wrongly kept serving with an IoError instead.
+    sp_.CloseA();
+    if (server_thread_.joinable()) server_thread_.join();
+    EXPECT_EQ(serve_status_.code(), StatusCode::kInvalidArgument)
+        << "type " << t;
+    stopped_ = true;
+  }
+}
+
 TEST_F(ShardServerFixture, CoordinatorHangupEndsServeCleanly) {
   StartServer();
   Configure();
@@ -599,7 +649,7 @@ TEST_F(ShardServerFixture, FutureEpochUpdateBatchIsDeferredStatusError) {
   GraphUpdate u{Edge(0, 1), UpdateType::kInsert};
   SendUpdateBatch(&u, sizeof(u), /*epoch=*/9);  // From the future.
   ASSERT_TRUE(
-      SendFrame(sp_.a(), ShardMessageType::kStats, nullptr, 0).ok());
+      SendFrame(sp_.a(), ShardMessageType::kStatsEx, nullptr, 0).ok());
   ExpectErrorReply(StatusCode::kInvalidArgument);
 }
 
@@ -621,13 +671,15 @@ TEST_F(ShardServerFixture, EpochFrameAdvancesWhatBatchesMustStamp) {
   GraphUpdate u{Edge(0, 1), UpdateType::kInsert};
   SendUpdateBatch(&u, sizeof(u), /*epoch=*/5);
   ASSERT_TRUE(
-      SendFrame(sp_.a(), ShardMessageType::kStats, nullptr, 0).ok());
+      SendFrame(sp_.a(), ShardMessageType::kStatsEx, nullptr, 0).ok());
   ASSERT_TRUE(RecvFrame(sp_.a(), &frame).ok());
-  ASSERT_EQ(frame.type, ShardMessageType::kAck);
-  ShardAck ack;
-  ASSERT_TRUE(
-      DecodeShardAck(frame.payload.data(), frame.payload.size(), &ack).ok());
-  EXPECT_EQ(ack.value0, 1u);  // The stamped-current batch was ingested.
+  ASSERT_EQ(frame.type, ShardMessageType::kStatsReply);
+  ShardStatsEx stats;
+  ASSERT_TRUE(DecodeShardStatsEx(frame.payload.data(), frame.payload.size(),
+                                 &stats)
+                  .ok());
+  // The stamped-current batch was ingested.
+  EXPECT_EQ(stats.num_updates, 1u);
 }
 
 TEST_F(ShardServerFixture, EpochRegressionIsErrorNotCrash) {
@@ -689,9 +741,10 @@ TEST_F(ShardServerFixture, TruncatedMergeDeltaPayloadIsErrorNotCrash) {
 }
 
 TEST_F(ShardServerFixture, MigrateExtractRoundTripsThroughMergeDelta) {
-  // The migration algebra over the wire: extracting [0, k) and [k, n)
-  // and folding both deltas into an empty same-params instance must
-  // reproduce the source's snapshot exactly.
+  // The migration algebra over the wire: the whole range [0, n) — the
+  // coordinator's snapshot read — and the split [0, k) + [k, n), each
+  // folded into an empty same-params instance, must reproduce the
+  // sketch content of a local instance fed the same updates.
   StartServer();
   Configure(/*num_nodes=*/16);
   GraphUpdate updates[3] = {{Edge(0, 1), UpdateType::kInsert},
@@ -699,46 +752,39 @@ TEST_F(ShardServerFixture, MigrateExtractRoundTripsThroughMergeDelta) {
                             {Edge(12, 15), UpdateType::kInsert}};
   SendUpdateBatch(updates, sizeof(updates));
 
-  auto request_snapshot = [this](GraphSnapshot* out) {
-    ASSERT_TRUE(
-        SendFrame(sp_.a(), ShardMessageType::kSnapshot, nullptr, 0).ok());
-    ShardFrame frame;
-    ASSERT_TRUE(RecvFrame(sp_.a(), &frame).ok());
-    ASSERT_EQ(frame.type, ShardMessageType::kSnapshotBytes);
-    Result<GraphSnapshot> r =
-        GraphSnapshot::Deserialize(frame.payload.data(),
-                                   frame.payload.size());
-    ASSERT_TRUE(r.ok());
-    *out = std::move(r).value();
-  };
-  GraphSnapshot source;
-  request_snapshot(&source);
-
-  GraphZeppelinConfig twin_config;
-  twin_config.num_nodes = 16;
-  twin_config.seed = 5;
-  twin_config.num_workers = 1;
-  twin_config.disk_dir = ::testing::TempDir();
-  GraphZeppelin twin(twin_config);
-  ASSERT_TRUE(twin.Init().ok());
-  for (const uint64_t range : {0u, 1u}) {
-    const std::vector<uint8_t> req =
-        range == 0 ? EncodeMigrateExtract(0, 7) : EncodeMigrateExtract(7, 16);
-    ASSERT_TRUE(SendFrame(sp_.a(), ShardMessageType::kMigrateExtract,
-                          req.data(), req.size())
-                    .ok());
-    ShardFrame frame;
-    ASSERT_TRUE(RecvFrame(sp_.a(), &frame).ok());
-    ASSERT_EQ(frame.type, ShardMessageType::kMigrateData);
-    ASSERT_TRUE(
-        twin.MergeSerializedNodeRange(frame.payload.data(),
-                                      frame.payload.size())
-            .ok());
-  }
-  GraphSnapshot rebuilt = twin.Snapshot();
+  GraphZeppelinConfig config;
+  config.num_nodes = 16;
+  config.seed = 5;
+  config.num_workers = 1;
+  config.disk_dir = ::testing::TempDir();
+  GraphZeppelin reference(config);
+  ASSERT_TRUE(reference.Init().ok());
+  reference.Update(updates, 3);
+  GraphSnapshot expect = reference.Snapshot();
   // Deltas carry no update counts by design; compare sketch content.
-  rebuilt.AddUpdates(source.num_updates());
-  EXPECT_TRUE(rebuilt == source);
+  expect.SetUpdates(0);
+
+  const auto rebuild = [&](std::initializer_list<std::pair<uint64_t,
+                                                           uint64_t>>
+                               ranges) {
+    GraphZeppelin twin(config);
+    EXPECT_TRUE(twin.Init().ok());
+    for (const auto& [lo, hi] : ranges) {
+      const std::vector<uint8_t> req = EncodeMigrateExtract(lo, hi);
+      EXPECT_TRUE(SendFrame(sp_.a(), ShardMessageType::kMigrateExtract,
+                            req.data(), req.size())
+                      .ok());
+      ShardFrame frame;
+      EXPECT_TRUE(RecvFrame(sp_.a(), &frame).ok());
+      EXPECT_EQ(frame.type, ShardMessageType::kMigrateData);
+      EXPECT_TRUE(twin.MergeSerializedNodeRange(frame.payload.data(),
+                                                frame.payload.size())
+                      .ok());
+    }
+    return twin.Snapshot();
+  };
+  EXPECT_TRUE(rebuild({{0, 16}}) == expect);
+  EXPECT_TRUE(rebuild({{0, 7}, {7, 16}}) == expect);
 }
 
 TEST_F(ShardServerFixture, ConfigEpochOlderThanCheckpointIsErrorNotCrash) {
@@ -829,7 +875,6 @@ std::vector<uint8_t> RepresentativePayload(ShardMessageType type) {
     }
     case ShardMessageType::kAck:
       return EncodeShardAck(ShardAck{42, 7});
-    case ShardMessageType::kSnapshotBytes:
     case ShardMessageType::kMigrateData:
     case ShardMessageType::kMergeDelta:
       return std::vector<uint8_t>(48, 0xA5);  // Opaque snapshot bytes.
@@ -859,7 +904,7 @@ std::vector<uint8_t> RepresentativePayload(ShardMessageType type) {
       return EncodeShardStatsEx(stats);
     }
     default:
-      // kFlush/kSnapshot/kStats/kStatsEx/kPing/kShutdown: empty.
+      // kFlush/kStatsEx/kPing/kShutdown: empty.
       return {};
   }
 }
@@ -872,6 +917,7 @@ TEST(ShardProtocolTest, EveryByteFlipOfEveryFrameTypeIsACleanStatus) {
   // corruption the protocol cannot see.
   for (uint16_t t = static_cast<uint16_t>(ShardMessageType::kConfig);
        t <= static_cast<uint16_t>(ShardMessageType::kStatsReply); ++t) {
+    if (IsRetiredType(t)) continue;  // RecvFrame rejects these.
     const ShardMessageType type = static_cast<ShardMessageType>(t);
     const std::vector<uint8_t> good = FrameBytes(type,
                                                  RepresentativePayload(type));
@@ -1418,6 +1464,9 @@ class ReaderSessionFixture : public ::testing::Test {
                                    ShardSessionRole::kWriter, 30)
                            .Serve();
     });
+    StartReader();
+  }
+  void StartReader() {
     reader_thread_ = std::thread([this] {
       reader_status_ = ShardServer(rp_.b(), &state_,
                                    ShardSessionRole::kReader, 30)
@@ -1500,12 +1549,54 @@ TEST_F(ReaderSessionFixture, ReaderServesReadOnlyFramesConcurrently) {
   EXPECT_EQ(stats.epoch, 1u);
   EXPECT_EQ(stats.num_updates, 1u);
   EXPECT_EQ(stats.num_nodes, 16u);
-  // SNAPSHOT streams the serialized sketch state.
-  ASSERT_TRUE(
-      SendFrame(rp_.a(), ShardMessageType::kSnapshot, nullptr, 0).ok());
+  // MIGRATE_EXTRACT over [0, n) reads the whole sketch state: the
+  // content of a local instance fed the same edge.
+  const std::vector<uint8_t> req = EncodeMigrateExtract(0, 16);
+  ASSERT_TRUE(SendFrame(rp_.a(), ShardMessageType::kMigrateExtract,
+                        req.data(), req.size())
+                  .ok());
   ASSERT_TRUE(RecvFrame(rp_.a(), &frame).ok());
-  EXPECT_EQ(frame.type, ShardMessageType::kSnapshotBytes);
-  EXPECT_FALSE(frame.payload.empty());
+  ASSERT_EQ(frame.type, ShardMessageType::kMigrateData);
+  GraphZeppelinConfig config;
+  config.num_nodes = 16;
+  config.seed = 5;
+  config.num_workers = 1;
+  config.disk_dir = ::testing::TempDir();
+  GraphZeppelin reference(config);
+  ASSERT_TRUE(reference.Init().ok());
+  reference.Update({Edge(0, 1), UpdateType::kInsert});
+  GraphSnapshot expect = reference.Snapshot();
+  GraphSnapshot read = GraphSnapshot::Zero(expect.params());
+  ASSERT_TRUE(
+      read.MergeSerializedNodeRange(frame.payload.data(), frame.payload.size())
+          .ok());
+  read.SetUpdates(expect.num_updates());
+  EXPECT_TRUE(read == expect);
+}
+
+TEST_F(ReaderSessionFixture, RetiredFrameTypesEndOnlyTheReaderSession) {
+  Start();
+  Configure();
+  for (const uint16_t t : kRetiredTypes) {
+    ASSERT_TRUE(
+        SendFrame(rp_.a(), static_cast<ShardMessageType>(t), nullptr, 0)
+            .ok());
+    ShardFrame frame;
+    ASSERT_TRUE(RecvFrame(rp_.a(), &frame).ok());
+    ASSERT_EQ(frame.type, ShardMessageType::kError);
+    bool decode_ok = false;
+    const Status s = DecodeShardError(frame.payload.data(),
+                                      frame.payload.size(), &decode_ok);
+    ASSERT_TRUE(decode_ok);
+    EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << "type " << t;
+    rp_.CloseA();  // As for the writer: the session must already be over.
+    reader_thread_.join();
+    EXPECT_EQ(reader_status_.code(), StatusCode::kInvalidArgument);
+    rp_.Reset();
+    StartReader();
+  }
+  // The writer session never noticed.
+  IngestOneEdge();
 }
 
 TEST_F(ReaderSessionFixture, ReaderCannotMutateAndSessionSurvives) {

@@ -11,12 +11,27 @@
 #include <utility>
 #include <vector>
 
+#include "core/connectivity.h"
 #include "distributed/shard_cluster.h"
 #include "distributed/shard_process.h"
 #include "distributed/shard_transport.h"
 #include "util/check.h"
 
 namespace gz {
+
+// The folded whole-graph snapshot of a started cluster; a failed fold
+// aborts at the cause.
+inline GraphSnapshot ClusterSnapshot(ShardCluster* cluster) {
+  Result<GraphSnapshot> r = cluster->Snapshot();
+  GZ_CHECK_OK(r.status());
+  return std::move(r).value();
+}
+
+// Boruvka over ClusterSnapshot().
+inline ConnectivityResult ClusterForest(ShardCluster* cluster,
+                                        int threads = 0) {
+  return Connectivity(ClusterSnapshot(cluster), threads);
+}
 
 enum class Substrate {
   kThread,   // thread: — ShardServer threads in the test process.

@@ -8,11 +8,11 @@
 
 #include <string>
 #include <tuple>
+#include <vector>
 
 #include "algos/bridges.h"
 #include "algos/spanning_forests.h"
 #include "baseline/matrix_checker.h"
-#include "distributed/sharded_graph_zeppelin.h"
 #include "stream/erdos_renyi_generator.h"
 #include "stream/stream_transform.h"
 #include "tests/shard_substrate.h"
@@ -30,7 +30,7 @@ GraphZeppelinConfig BaseConfig(uint64_t n, uint64_t seed) {
 }
 
 TEST(ShardedTest, ShardRoutingDeterministicAndBounded) {
-  ShardedGraphZeppelin sharded(BaseConfig(64, 1), 4);
+  ShardCluster sharded(BaseConfig(64, 1), 4);
   for (NodeId u = 0; u < 20; ++u) {
     const Edge e(u, static_cast<NodeId>(u + 10));
     const int shard = sharded.ShardFor(e);
@@ -41,7 +41,7 @@ TEST(ShardedTest, ShardRoutingDeterministicAndBounded) {
 }
 
 TEST(ShardedTest, RoutingRoughlyBalanced) {
-  ShardedGraphZeppelin sharded(BaseConfig(256, 2), 4);
+  ShardCluster sharded(BaseConfig(256, 2), 4);
   int counts[4] = {0, 0, 0, 0};
   for (NodeId u = 0; u < 255; ++u) {
     for (NodeId v = u + 1; v < 256; v += 17) {
@@ -58,9 +58,9 @@ TEST(ShardedTest, RoutingRoughlyBalanced) {
 TEST(ShardedTest, RoutingIdenticalAcrossModes) {
   // An external stream partitioner must be able to pre-split a stream
   // for either deployment; the hash may not depend on the substrate.
-  ShardedGraphZeppelin thread(BaseConfig(128, 5), 5,
-                              OnSubstrate(Substrate::kThread, 5));
-  ShardedGraphZeppelin process(BaseConfig(128, 5), 5);
+  ShardCluster thread(BaseConfig(128, 5), 5,
+                      OnSubstrate(Substrate::kThread, 5));
+  ShardCluster process(BaseConfig(128, 5), 5);
   for (NodeId u = 0; u < 60; ++u) {
     const Edge e(u, static_cast<NodeId>(u + 13));
     EXPECT_EQ(thread.ShardFor(e), process.ShardFor(e));
@@ -72,16 +72,16 @@ TEST(ShardedTest, RoutingIsPureFunctionOfTableAcrossModesAndReshards) {
   // function of (edge, table) that coordinator, shards and any
   // external partitioner share — on every substrate, through elastic
   // reshard operations, with no hidden substrate- or history-dependent
-  // state. Both facades run the same reshard schedule; after every
+  // state. Both clusters run the same reshard schedule; after every
   // step their tables are identical and every edge routes identically
   // (and identically to the raw pure function).
   const uint64_t n = 128;
   const std::string on_thread = SubstrateEndpoint(Substrate::kThread);
-  ShardedGraphZeppelin thread(BaseConfig(n, 6), 2,
-                              OnSubstrate(Substrate::kThread, 2));
-  ShardedGraphZeppelin process(BaseConfig(n, 6), 2);
-  ASSERT_TRUE(thread.Init().ok());
-  ASSERT_TRUE(process.Init().ok());
+  ShardCluster thread(BaseConfig(n, 6), 2,
+                      OnSubstrate(Substrate::kThread, 2));
+  ShardCluster process(BaseConfig(n, 6), 2);
+  ASSERT_TRUE(thread.Start().ok());
+  ASSERT_TRUE(process.Start().ok());
 
   auto check_agreement = [&](const char* step) {
     ASSERT_TRUE(thread.routing_table() == process.routing_table()) << step;
@@ -117,7 +117,7 @@ class ShardedModeTest : public ::testing::TestWithParam<Substrate> {
 };
 
 TEST_P(ShardedModeTest, ElasticOpsBeforeInitAreErrorsNotCrashes) {
-  ShardedGraphZeppelin sharded(BaseConfig(32, 9), 2, Options(2));
+  ShardCluster sharded(BaseConfig(32, 9), 2, Options(2));
   EXPECT_EQ(sharded.AddShard().status().code(),
             StatusCode::kFailedPrecondition);
   EXPECT_EQ(sharded.BeginRemoveShard(0).code(),
@@ -126,24 +126,25 @@ TEST_P(ShardedModeTest, ElasticOpsBeforeInitAreErrorsNotCrashes) {
             StatusCode::kFailedPrecondition);
   EXPECT_EQ(sharded.PumpMigration().code(),
             StatusCode::kFailedPrecondition);
-  // And Init() afterwards still brings the facade up normally.
-  ASSERT_TRUE(sharded.Init().ok());
+  // And Start() afterwards still brings the cluster up normally.
+  ASSERT_TRUE(sharded.Start().ok());
   ASSERT_TRUE(sharded.AddShard(SubstrateEndpoint(GetParam())).ok());
 }
 
 TEST_P(ShardedModeTest, SingleShardMatchesPlainInstance) {
   const uint64_t n = 32;
-  ShardedGraphZeppelin sharded(BaseConfig(n, 3), 1, Options(1));
-  ASSERT_TRUE(sharded.Init().ok());
+  ShardCluster sharded(BaseConfig(n, 3), 1, Options(1));
+  ASSERT_TRUE(sharded.Start().ok());
   GraphZeppelin plain(BaseConfig(n, 3));
   ASSERT_TRUE(plain.Init().ok());
 
+  std::vector<GraphUpdate> updates;
   for (NodeId i = 0; i + 1 < 12; ++i) {
-    const GraphUpdate u{Edge(i, i + 1), UpdateType::kInsert};
-    sharded.Update(u);
-    plain.Update(u);
+    updates.push_back({Edge(i, i + 1), UpdateType::kInsert});
   }
-  const ConnectivityResult a = sharded.ListSpanningForest();
+  ASSERT_TRUE(sharded.Update(updates.data(), updates.size()).ok());
+  plain.Update(updates.data(), updates.size());
+  const ConnectivityResult a = ClusterForest(&sharded);
   const ConnectivityResult b = plain.ListSpanningForest();
   ASSERT_FALSE(a.failed);
   ASSERT_FALSE(b.failed);
@@ -151,21 +152,23 @@ TEST_P(ShardedModeTest, SingleShardMatchesPlainInstance) {
 }
 
 TEST_P(ShardedModeTest, UpdateCountsSumToTotal) {
-  ShardedGraphZeppelin sharded(BaseConfig(64, 4), 3, Options(3));
-  ASSERT_TRUE(sharded.Init().ok());
-  const int total = 200;
-  int ingested = 0;
-  for (NodeId u = 0; u < 63 && ingested < total; ++u) {
-    for (NodeId v = u + 1; v < 64 && ingested < total; v += 3) {
-      sharded.Update({Edge(u, v), UpdateType::kInsert});
-      ++ingested;
+  ShardCluster sharded(BaseConfig(64, 4), 3, Options(3));
+  ASSERT_TRUE(sharded.Start().ok());
+  const size_t total = 200;
+  std::vector<GraphUpdate> updates;
+  for (NodeId u = 0; u < 63 && updates.size() < total; ++u) {
+    for (NodeId v = u + 1; v < 64 && updates.size() < total; v += 3) {
+      updates.push_back({Edge(u, v), UpdateType::kInsert});
     }
   }
+  ASSERT_TRUE(sharded.Update(updates.data(), updates.size()).ok());
   uint64_t sum = 0;
   for (int s = 0; s < sharded.num_shards(); ++s) {
-    sum += sharded.updates_in_shard(s);
+    const Result<ShardStats> stats = sharded.Stats(s);
+    ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+    sum += stats.value().num_updates;
   }
-  EXPECT_EQ(sum, static_cast<uint64_t>(ingested));
+  EXPECT_EQ(sum, updates.size());
 }
 
 TEST_P(ShardedModeTest, ForestDecompositionOverShardedSnapshot) {
@@ -174,17 +177,17 @@ TEST_P(ShardedModeTest, ForestDecompositionOverShardedSnapshot) {
   const uint64_t n = 16;
   GraphZeppelinConfig base = BaseConfig(n, 8);
   base.rounds = RoundsForForests(n, 2);
-  ShardedGraphZeppelin sharded(base, 3, Options(3));
-  ASSERT_TRUE(sharded.Init().ok());
+  ShardCluster sharded(base, 3, Options(3));
+  ASSERT_TRUE(sharded.Start().ok());
 
   // Two triangles joined by one bridge.
   const Edge edges[] = {Edge(0, 1), Edge(1, 2), Edge(0, 2),
                         Edge(3, 4), Edge(4, 5), Edge(3, 5),
                         Edge(2, 3)};
-  for (const Edge& e : edges) {
-    sharded.Update({e, UpdateType::kInsert});
-  }
-  const GraphSnapshot snapshot = sharded.Snapshot();
+  std::vector<GraphUpdate> updates;
+  for (const Edge& e : edges) updates.push_back({e, UpdateType::kInsert});
+  ASSERT_TRUE(sharded.Update(updates.data(), updates.size()).ok());
+  const GraphSnapshot snapshot = ClusterSnapshot(&sharded);
   const Result<ForestDecomposition> extracted =
       ExtractSpanningForests(snapshot, 2);
   ASSERT_TRUE(extracted.ok()) << extracted.status().ToString();
@@ -207,16 +210,16 @@ TEST_P(ShardedModeTest, SnapshotFoldMatchesSingleInstanceBitwise) {
   ep.seed = 6;
   const EdgeList edges = ErdosRenyiGenerator(ep).Generate();
 
-  ShardedGraphZeppelin sharded(BaseConfig(n, 31), 3, Options(3));
-  ASSERT_TRUE(sharded.Init().ok());
+  ShardCluster sharded(BaseConfig(n, 31), 3, Options(3));
+  ASSERT_TRUE(sharded.Start().ok());
   GraphZeppelin single(BaseConfig(n, 31));
   ASSERT_TRUE(single.Init().ok());
-  for (const Edge& e : edges) {
-    sharded.Update({e, UpdateType::kInsert});
-    single.Update({e, UpdateType::kInsert});
-  }
+  std::vector<GraphUpdate> updates;
+  for (const Edge& e : edges) updates.push_back({e, UpdateType::kInsert});
+  ASSERT_TRUE(sharded.Update(updates.data(), updates.size()).ok());
+  single.Update(updates.data(), updates.size());
 
-  const GraphSnapshot folded = sharded.Snapshot();
+  const GraphSnapshot folded = ClusterSnapshot(&sharded);
   const GraphSnapshot expect = single.Snapshot();
   EXPECT_TRUE(folded == expect);
   EXPECT_EQ(folded.num_updates(), edges.size());
@@ -228,12 +231,14 @@ TEST_P(ShardedModeTest, DiskShardsDoNotCollide) {
   // files separate — thread shards share one pid.
   GraphZeppelinConfig base = BaseConfig(32, 7);
   base.storage = GraphZeppelinConfig::Storage::kDisk;
-  ShardedGraphZeppelin sharded(base, 3, Options(3));
-  ASSERT_TRUE(sharded.Init().ok());
+  ShardCluster sharded(base, 3, Options(3));
+  ASSERT_TRUE(sharded.Start().ok());
+  std::vector<GraphUpdate> updates;
   for (NodeId i = 0; i + 1 < 16; ++i) {
-    sharded.Update({Edge(i, i + 1), UpdateType::kInsert});
+    updates.push_back({Edge(i, i + 1), UpdateType::kInsert});
   }
-  const ConnectivityResult r = sharded.ListSpanningForest();
+  ASSERT_TRUE(sharded.Update(updates.data(), updates.size()).ok());
+  const ConnectivityResult r = ClusterForest(&sharded);
   ASSERT_FALSE(r.failed);
   EXPECT_EQ(r.num_components, 32u - 16u + 1u);
 }
@@ -248,15 +253,16 @@ TEST_P(ShardedModeTest, BulkSpanIngestionMatchesSingleUpdates) {
   std::vector<GraphUpdate> updates;
   for (const Edge& e : edges) updates.push_back({e, UpdateType::kInsert});
 
-  ShardedGraphZeppelin bulk(BaseConfig(n, 13), 3, Options(3));
-  ASSERT_TRUE(bulk.Init().ok());
-  bulk.Update(updates.data(), updates.size());
+  ShardCluster bulk(BaseConfig(n, 13), 3, Options(3));
+  ASSERT_TRUE(bulk.Start().ok());
+  ASSERT_TRUE(bulk.Update(updates.data(), updates.size()).ok());
 
-  ShardedGraphZeppelin single(BaseConfig(n, 13), 3, Options(3));
-  ASSERT_TRUE(single.Init().ok());
-  for (const GraphUpdate& u : updates) single.Update(u);
+  // One frame per update: the same stream in one-update spans.
+  ShardCluster single(BaseConfig(n, 13), 3, Options(3));
+  ASSERT_TRUE(single.Start().ok());
+  for (const GraphUpdate& u : updates) ASSERT_TRUE(single.Update(&u, 1).ok());
 
-  EXPECT_TRUE(bulk.Snapshot() == single.Snapshot());
+  EXPECT_TRUE(ClusterSnapshot(&bulk) == ClusterSnapshot(&single));
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -286,15 +292,14 @@ TEST_P(ShardedCorrectnessTest, MatchesExactCheckerOnRandomStream) {
   const StreamTransformResult stream =
       BuildStream(ErdosRenyiGenerator(ep).Generate(), tp);
 
-  ShardedGraphZeppelin sharded(BaseConfig(n, seed + 20), num_shards,
-                               OnSubstrate(substrate, num_shards));
-  ASSERT_TRUE(sharded.Init().ok());
+  ShardCluster sharded(BaseConfig(n, seed + 20), num_shards,
+                       OnSubstrate(substrate, num_shards));
+  ASSERT_TRUE(sharded.Start().ok());
   AdjacencyMatrixChecker checker(n);
-  for (const GraphUpdate& u : stream.updates) {
-    sharded.Update(u);
-    checker.Update(u);
-  }
-  const ConnectivityResult got = sharded.ListSpanningForest();
+  ASSERT_TRUE(
+      sharded.Update(stream.updates.data(), stream.updates.size()).ok());
+  for (const GraphUpdate& u : stream.updates) checker.Update(u);
+  const ConnectivityResult got = ClusterForest(&sharded);
   const ConnectivityResult expect = checker.ConnectedComponents();
   ASSERT_FALSE(got.failed);
   EXPECT_EQ(got.num_components, expect.num_components);

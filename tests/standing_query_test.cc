@@ -25,7 +25,6 @@
 #include "distributed/shard_cluster.h"
 #include "distributed/shard_process.h"
 #include "distributed/shard_transport.h"
-#include "distributed/sharded_graph_zeppelin.h"
 #include "stream/erdos_renyi_generator.h"
 #include "tests/shard_substrate.h"
 #include "util/check.h"
@@ -211,9 +210,8 @@ class StandingQueryCoordinatorTest
     : public ::testing::TestWithParam<Substrate> {};
 
 TEST_P(StandingQueryCoordinatorTest, EvaluationsBitwiseVerifiableMidStream) {
-  ShardedGraphZeppelin sharded(BaseConfig(33), 3,
-                               OnSubstrate(GetParam(), 3));
-  ASSERT_TRUE(sharded.Init().ok());
+  ShardCluster sharded(BaseConfig(33), 3, OnSubstrate(GetParam(), 3));
+  ASSERT_TRUE(sharded.Start().ok());
   StandingQueryRegistry& reg = sharded.standing_queries();
   reg.Add({StandingQueryKind::kConnected, 0, 5});
   reg.Add({StandingQueryKind::kComponentCount, 0, 0});
@@ -233,7 +231,7 @@ TEST_P(StandingQueryCoordinatorTest, EvaluationsBitwiseVerifiableMidStream) {
   size_t last_components = 0;
   while (fed < updates.size()) {
     const size_t count = std::min(burst, updates.size() - fed);
-    sharded.Update(updates.data() + fed, count);
+    ASSERT_TRUE(sharded.Update(updates.data() + fed, count).ok());
     for (size_t i = 0; i < count; ++i) checker.Update(updates[fed + i]);
     fed += count;
     const Result<size_t> n = sharded.EvaluateStandingQueries(1, notifier);
@@ -284,8 +282,8 @@ TEST_P(StandingQueryClusterTest, NotificationsStayExactThroughASplit) {
   // ingest interleaved. Every notification must pass the bitwise bar
   // at its own position, and the component count must track the dense
   // baseline at every evaluated position.
-  ShardedGraphZeppelin sharded(BaseConfig(55), 3, MakeOptions(3));
-  ASSERT_TRUE(sharded.Init().ok());
+  ShardCluster sharded(BaseConfig(55), 3, MakeOptions(3));
+  ASSERT_TRUE(sharded.Start().ok());
   StandingQueryRegistry& reg = sharded.standing_queries();
   reg.Add({StandingQueryKind::kConnected, 1, 2});
   reg.Add({StandingQueryKind::kComponentCount, 0, 0});
@@ -314,7 +312,7 @@ TEST_P(StandingQueryClusterTest, NotificationsStayExactThroughASplit) {
         << step;
   };
   const auto feed = [&](size_t from, size_t count) {
-    sharded.Update(updates.data() + from, count);
+    EXPECT_TRUE(sharded.Update(updates.data() + from, count).ok());
     for (size_t i = 0; i < count; ++i) checker.Update(updates[from + i]);
   };
 

@@ -26,7 +26,6 @@
 #include "core/graph_zeppelin.h"
 #include "distributed/shard_cluster.h"
 #include "distributed/shard_transport.h"
-#include "distributed/sharded_graph_zeppelin.h"
 #include "stream/erdos_renyi_generator.h"
 #include "tests/shard_substrate.h"
 #include "workloads/count_min.h"
@@ -297,11 +296,11 @@ TEST_P(WorkloadShardedTest, HeavyHitterFoldMatchesSingleInstanceBitwise) {
   }
 
   const GraphZeppelinConfig config = HHConfig(n, 23);
-  ShardedGraphZeppelin sharded(config, 3, OnSubstrate(GetParam(), 3));
-  ASSERT_TRUE(sharded.Init().ok());
+  ShardCluster sharded(config, 3, OnSubstrate(GetParam(), 3));
+  ASSERT_TRUE(sharded.Start().ok());
   GraphZeppelin single(config);
   ASSERT_TRUE(single.Init().ok());
-  sharded.Update(updates.data(), updates.size());
+  ASSERT_TRUE(sharded.Update(updates.data(), updates.size()).ok());
   single.Update(updates.data(), updates.size());
 
   Result<HeavyHitterSketch> folded = sharded.HeavyHitters();
@@ -312,9 +311,8 @@ TEST_P(WorkloadShardedTest, HeavyHitterFoldMatchesSingleInstanceBitwise) {
 }
 
 TEST_P(WorkloadShardedTest, HeavyHittersDisabledIsFailedPrecondition) {
-  ShardedGraphZeppelin sharded(BaseConfig(32, 5), 2,
-                               OnSubstrate(GetParam(), 2));
-  ASSERT_TRUE(sharded.Init().ok());
+  ShardCluster sharded(BaseConfig(32, 5), 2, OnSubstrate(GetParam(), 2));
+  ASSERT_TRUE(sharded.Start().ok());
   EXPECT_EQ(sharded.HeavyHitters().status().code(),
             StatusCode::kFailedPrecondition);
 }
@@ -335,8 +333,8 @@ TEST_P(WorkloadShardedTest, HeavyHittersSurviveLiveSplitAndRemove) {
   for (const Edge& e : edges) updates.push_back({e, UpdateType::kInsert});
 
   const GraphZeppelinConfig config = HHConfig(n, 31);
-  ShardedGraphZeppelin sharded(config, 2, OnSubstrate(GetParam(), 2));
-  ASSERT_TRUE(sharded.Init().ok());
+  ShardCluster sharded(config, 2, OnSubstrate(GetParam(), 2));
+  ASSERT_TRUE(sharded.Start().ok());
   GraphZeppelin single(config);
   ASSERT_TRUE(single.Init().ok());
 
@@ -344,7 +342,7 @@ TEST_P(WorkloadShardedTest, HeavyHittersSurviveLiveSplitAndRemove) {
   auto feed_burst = [&](size_t count) {
     count = std::min(count, updates.size() - fed);
     if (count == 0) return;
-    sharded.Update(updates.data() + fed, count);
+    EXPECT_TRUE(sharded.Update(updates.data() + fed, count).ok());
     single.Update(updates.data() + fed, count);
     fed += count;
   };
@@ -369,7 +367,7 @@ TEST_P(WorkloadShardedTest, HeavyHittersSurviveLiveSplitAndRemove) {
 
   // And the connectivity answer still matches too (the split/remove
   // was invisible on both planes).
-  const ConnectivityResult got = sharded.ListSpanningForest();
+  const ConnectivityResult got = ClusterForest(&sharded);
   const ConnectivityResult want = single.ListSpanningForest();
   ASSERT_FALSE(got.failed);
   EXPECT_EQ(got.num_components, want.num_components);

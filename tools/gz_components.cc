@@ -35,9 +35,10 @@
 #include <thread>
 #include <vector>
 
+#include "core/connectivity.h"
 #include "core/graph_zeppelin.h"
 #include "core/stream_ingestor.h"
-#include "distributed/sharded_graph_zeppelin.h"
+#include "distributed/shard_cluster.h"
 #include "stream/stream_file.h"
 #include "tools/flags.h"
 #include "util/mem_usage.h"
@@ -96,13 +97,14 @@ int RunSharded(const gz::tools::Flags& flags,
   copts.auth_secret = tools::ResolveAuthSecret(flags, "gz_components");
   copts.shard_endpoints = endpoints;
   copts.replication_factor = replication;
-  ShardedGraphZeppelin sharded(
+  ShardCluster cluster(
       config, static_cast<int>(endpoints.size()) / replication, copts);
-  Status s = sharded.Init();
-  if (!s.ok()) {
-    std::fprintf(stderr, "cluster init failed: %s\n", s.ToString().c_str());
+  const auto failed = [](const char* what, const Status& status) {
+    std::fprintf(stderr, "%s failed: %s\n", what, status.ToString().c_str());
     return 1;
-  }
+  };
+  Status s = cluster.Start();
+  if (!s.ok()) return failed("cluster init", s);
 
   StreamReader reader;
   s = reader.Open(stream_path);
@@ -118,7 +120,8 @@ int RunSharded(const gz::tools::Flags& flags,
   while (reader.Next(&update)) {
     chunk.push_back(update);
     if (chunk.size() == chunk.capacity()) {
-      sharded.Update(chunk.data(), chunk.size());
+      s = cluster.Update(chunk.data(), chunk.size());
+      if (!s.ok()) return failed("cluster update", s);
       ingested += chunk.size();
       chunk.clear();
     }
@@ -129,14 +132,21 @@ int RunSharded(const gz::tools::Flags& flags,
     return 1;
   }
   if (!chunk.empty()) {
-    sharded.Update(chunk.data(), chunk.size());
+    s = cluster.Update(chunk.data(), chunk.size());
+    if (!s.ok()) return failed("cluster update", s);
     ingested += chunk.size();
   }
-  sharded.Flush();
+  s = cluster.Flush();
+  if (!s.ok()) return failed("cluster flush", s);
   const double ingest_seconds = timer.Seconds();
 
   WallTimer query_timer;
-  const ConnectivityResult result = sharded.ListSpanningForest();
+  ConnectivityResult result;
+  {
+    Result<GraphSnapshot> snapshot = cluster.Snapshot();
+    if (!snapshot.ok()) return failed("snapshot fold", snapshot.status());
+    result = Connectivity(snapshot.value(), config.query_threads);
+  }
   const double query_seconds = query_timer.Seconds();
   if (result.failed) {
     std::fprintf(stderr, "sketch query failed; re-run with another seed\n");
@@ -147,7 +157,7 @@ int RunSharded(const gz::tools::Flags& flags,
   std::printf("ingested  %llu updates across %d shards in %.2fs "
               "(%s updates/s)\n",
               static_cast<unsigned long long>(ingested),
-              sharded.num_shards(), ingest_seconds,
+              cluster.num_shards(), ingest_seconds,
               FormatRate(static_cast<double>(ingested) / ingest_seconds,
                          rate_buf, sizeof(rate_buf)));
   std::printf("query     %.3fs, %d Boruvka rounds\n", query_seconds,
@@ -157,12 +167,8 @@ int RunSharded(const gz::tools::Flags& flags,
 
   const int hh_top = static_cast<int>(flags.GetInt("heavy-hitters", 0));
   if (hh_top > 0) {
-    const Result<HeavyHitterSketch> hh = sharded.HeavyHitters();
-    if (!hh.ok()) {
-      std::fprintf(stderr, "heavy-hitter fold failed: %s\n",
-                   hh.status().ToString().c_str());
-      return 1;
-    }
+    const Result<HeavyHitterSketch> hh = cluster.HeavyHitters();
+    if (!hh.ok()) return failed("heavy-hitter fold", hh.status());
     PrintHeavyHitters(hh.value(), hh_top);
   }
 
